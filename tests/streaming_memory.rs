@@ -7,11 +7,18 @@
 //! the grids below the paper's n = 10⁵. A counting global allocator
 //! measures the peak heap growth during the sweep; one trial here is tiny
 //! (n = 1), so any per-trial retention would dominate the measurement.
+//!
+//! The counters are process-global and must stay that way — the worker
+//! pool allocates on other threads, and those allocations belong in the
+//! measurement. libtest runs tests concurrently, so every test holds
+//! [`MEASURE`] for its whole measured region; otherwise each test would
+//! count the others' heap traffic.
 
 use contention_resolution::prelude::*;
 use contention_stats::stream::Extrema;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
@@ -39,6 +46,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Serialises the tests' measured regions over the shared counters.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Takes [`MEASURE`]; a test that failed while holding it poisons nothing
+/// the guard protects, so the next test measures normally.
+fn measure() -> MutexGuard<'static, ()> {
+    MEASURE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// O(1)-state accumulator: exact count/min/max of CW slots per cell.
 struct CwExtrema(Extrema);
 
@@ -50,6 +68,7 @@ impl Accumulator<TrialSummary> for CwExtrema {
 
 #[test]
 fn folded_sweep_memory_does_not_scale_with_trials() {
+    let _measure = measure();
     const TRIALS: u32 = 100_000;
     let sweep = Sweep::<WindowedSim> {
         experiment: "memory-sanity",
@@ -96,6 +115,7 @@ fn folded_sweep_memory_does_not_scale_with_trials() {
 /// even though the trial itself had to touch the full width.
 #[test]
 fn pathological_window_scratch_is_shed_after_the_trial() {
+    let _measure = measure();
     const WIDTH: u32 = 1 << 23;
     let config = NoisyConfig::abstract_model(
         AlgorithmKind::Fixed { window: WIDTH },
@@ -139,6 +159,7 @@ fn pathological_window_scratch_is_shed_after_the_trial() {
 /// impossible while leaving ~100× headroom over the steady-state backlog.
 #[test]
 fn ten_million_arrivals_stream_in_bounded_memory() {
+    let _measure = measure();
     use contention_slotted::dynamic::{ArrivalProcess, DynamicConfig, DynamicSim};
 
     // 5 % offered load on unit costs: comfortably stable for BEB, so the
@@ -193,6 +214,7 @@ impl Accumulator<TrialSummary> for TimeExtrema {
 /// noise cancel out.
 #[test]
 fn mac_trial_loop_allocates_only_its_output() {
+    let _measure = measure();
     const N: u32 = 30;
     let sweep = |trials: u32| Sweep::<MacSim> {
         experiment: "mac-alloc-ceiling",

@@ -18,9 +18,10 @@ use contention_experiments::server::{http_request, Server};
 use contention_experiments::shard::ShardState;
 use contention_experiments::worker::run_worker;
 use std::collections::BTreeMap;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("repro-workserver-{tag}-{}", std::process::id()));
@@ -256,5 +257,78 @@ fn abandoned_leases_are_reissued_after_the_ttl() {
     };
     run_worker(&worker_opts).expect("worker drains the sweep");
     handle.join().unwrap().expect("server finalizes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The blocking accept path and its shutdown: a connection that never sends
+/// a byte must not hold up another client's lease, a coordinator over an
+/// already-complete sweep returns once its linger window is over, and
+/// `run` gives the listen port back — the acceptor thread was woken out of
+/// `accept()` and joined. Bounds are seconds, not milliseconds: they
+/// separate "served at once" from "waited out a timeout".
+#[test]
+fn silent_clients_do_not_stall_leases_and_shutdown_frees_the_port() {
+    let dir = scratch("accept");
+    let opts = Options {
+        inputs: vec!["fig5".to_string()],
+        trials: Some(2),
+        out_dir: Some(dir.clone()),
+        port: Some(0),
+        lease_secs: Some(1),
+        leases: Some(2),
+        linger_secs: Some(0),
+        ..Options::default()
+    };
+    let server = Server::start(&opts).expect("server binds");
+    let port = server.local_addr().port();
+    let addr = format!("127.0.0.1:{port}");
+    let handle = std::thread::spawn(move || server.run());
+
+    // The silent client is accepted first and pins its handler until the
+    // 30 s socket timeout; the lease claim queued behind it is answered.
+    let silent = TcpStream::connect(&addr).expect("silent client connects");
+    let asked = Instant::now();
+    let (status, body) = http_request(&addr, "GET", "/lease", None).expect("claim");
+    let waited = asked.elapsed();
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"lease\""), "{body}");
+    assert!(
+        waited < Duration::from_secs(10),
+        "a lease behind a silent connection took {waited:?}"
+    );
+    drop(silent);
+
+    // A worker drains the sweep, the abandoned lease included once its TTL
+    // runs out; with no linger, `run` returns and frees the port.
+    let worker_opts = Options {
+        connect: Some(addr),
+        threads: Some(2),
+        ..Options::default()
+    };
+    run_worker(&worker_opts).expect("worker drains the sweep");
+    handle.join().unwrap().expect("server finalizes");
+    TcpListener::bind(("0.0.0.0", port)).expect("port is free once run returns");
+
+    // Re-serving the finished out-dir starts complete: it still answers
+    // `done` through the linger window, then returns promptly.
+    let linger = Duration::from_secs(1);
+    let resume = Options {
+        linger_secs: Some(linger.as_secs()),
+        ..opts
+    };
+    let server = Server::start(&resume).expect("re-serve binds");
+    let port = server.local_addr().port();
+    let started = Instant::now();
+    let handle = std::thread::spawn(move || server.run());
+    let (status, body) =
+        http_request(&format!("127.0.0.1:{port}"), "GET", "/lease", None).expect("claim");
+    assert_eq!((status, body.as_str()), (200, "{\"status\":\"done\"}"));
+    handle.join().unwrap().expect("complete sweep finalizes");
+    let took = started.elapsed();
+    assert!(
+        took >= linger && took < linger + Duration::from_secs(5),
+        "an already-complete serve with a {linger:?} linger took {took:?}"
+    );
+    TcpListener::bind(("0.0.0.0", port)).expect("port is free once run returns");
     let _ = std::fs::remove_dir_all(&dir);
 }
