@@ -87,12 +87,25 @@ impl MetricStats {
     /// The per-trial values of one metric, in trial order. Panics if the
     /// metric wasn't requested at construction.
     pub fn sample(&self, metric: Metric) -> &[f64] {
+        self.buffer(metric).values()
+    }
+
+    fn buffer(&self, metric: Metric) -> &StreamingSample {
         let i = self
             .metrics
             .iter()
             .position(|&m| m == metric)
             .unwrap_or_else(|| panic!("metric {metric:?} was not collected"));
-        self.samples[i].values()
+        &self.samples[i]
+    }
+
+    /// A collector over `metrics` holding copies of this one's buffers for
+    /// them — bit-identical to folding just `metrics` from the start,
+    /// because every buffer is per metric and position-addressed by trial.
+    /// Panics if a metric wasn't collected.
+    pub fn project(&self, metrics: &[Metric]) -> MetricStats {
+        let samples = metrics.iter().map(|&m| self.buffer(m).clone()).collect();
+        MetricStats::from_parts(metrics.to_vec(), samples)
     }
 
     /// Outlier-filtered median + CI of one metric at a given x.

@@ -204,7 +204,10 @@ mod tests {
                 .find(|(n, _, _)| *n == entry.name)
                 .expect("registered");
             let direct = runner(&opts);
-            let split = (entry.report)(&opts, &(entry.cells)(&opts, &SweepHooks::none()));
+            // A clone starts with an empty sweep memo, so the split
+            // pipeline runs its own sweep instead of reusing the runner's.
+            let fresh = opts.clone();
+            let split = (entry.report)(&fresh, &(entry.cells)(&fresh, &SweepHooks::none()));
             assert_eq!(
                 rendered(&direct),
                 rendered(&split),

@@ -3,8 +3,22 @@
 //! The paper generates Figures 3, 6, 7, 9, 11 and 12 from the same 64 B NS3
 //! runs (and 4, 8, 10 from the 1024 B runs); we mirror that by deriving
 //! those figures from one shared sweep *stream* per payload (same experiment
-//! tag ⇒ same RNG streams ⇒ mutually consistent numbers within a `repro`
-//! invocation), with each figure folding out only the metrics it plots.
+//! tag ⇒ same RNG streams ⇒ mutually consistent numbers), with each figure
+//! folding out only the metrics it plots.
+//!
+//! Each stream also runs only once per `repro` invocation. [`fold_grid`]
+//! consults a [`SweepMemo`] carried in [`Options::sweeps`]: the first call
+//! for a sweep folds every [`Metric`] and stores the cells, and every call
+//! (that one included) gets back cells projected to exactly the metrics its
+//! grid asks for. The memo is keyed by everything that decides a result —
+//! experiment tag, backend type, backend config (its `Debug` rendering),
+//! algorithms, `n` grid and trial count — and by nothing that doesn't
+//! (threads, `--batch`, claim costs). It lives as long as the `Options`
+//! value it sits in: `repro all` shares one across experiments, a clone
+//! starts empty, and runs with execution seams attached (shard range,
+//! resume plan, checkpoint monitor — the serve and work paths) bypass it.
+//! Tables II/III and Figures 18/19 ride the same path, so `repro all` runs
+//! each of their sweeps once as well.
 
 use crate::aggregate::{
     final_percent_vs_first, series_per_algorithm, MetricStats, Series, StatsCell,
@@ -20,6 +34,8 @@ use contention_mac::{MacConfig, MacSim};
 use contention_sim::engine::CellRange;
 use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
 use contention_sim::sched::CostSpec;
+use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// The paper's four head-to-head algorithms.
 pub fn paper_algorithms() -> Vec<AlgorithmKind> {
@@ -56,16 +72,115 @@ impl<'a> SweepHooks<'a> {
     }
 }
 
+/// Everything that decides a full-grid sweep's results.
+#[derive(PartialEq)]
+struct SweepKey {
+    experiment: &'static str,
+    backend: &'static str,
+    config: String,
+    algorithms: Vec<AlgorithmKind>,
+    ns: Vec<u32>,
+    trials: u32,
+}
+
+/// Full-grid sweeps already run under one [`Options`] value, each folded
+/// over every [`Metric`] (see the module docs). `Default` and `Clone` both
+/// give an empty memo; equality and `Debug` ignore its contents.
+#[derive(Default)]
+pub struct SweepMemo {
+    sweeps: Mutex<Vec<(SweepKey, Vec<StatsCell>)>>,
+}
+
+impl SweepMemo {
+    /// The memoized sweep under `key`, running `sweep` (over
+    /// [`Metric::ALL`]) on a miss; either way projected to `metrics`.
+    fn cells(
+        &self,
+        key: SweepKey,
+        metrics: &[Metric],
+        sweep: impl FnOnce() -> Vec<StatsCell>,
+    ) -> Vec<StatsCell> {
+        let project = |cells: &[StatsCell]| {
+            cells
+                .iter()
+                .map(|c| StatsCell {
+                    algorithm: c.algorithm,
+                    n: c.n,
+                    acc: c.acc.project(metrics),
+                })
+                .collect()
+        };
+        let lock = || self.sweeps.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, cells)) = lock().iter().find(|(k, _)| *k == key) {
+            return project(cells);
+        }
+        let cells = sweep();
+        let projected = project(&cells);
+        lock().push((key, cells));
+        projected
+    }
+}
+
+impl Clone for SweepMemo {
+    fn clone(&self) -> SweepMemo {
+        SweepMemo::default()
+    }
+}
+
+impl PartialEq for SweepMemo {
+    fn eq(&self, _: &SweepMemo) -> bool {
+        true
+    }
+}
+
+impl Eq for SweepMemo {}
+
+impl fmt::Debug for SweepMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SweepMemo").finish_non_exhaustive()
+    }
+}
+
 /// Runs (part of) one grid on any backend, folded down to the grid's
-/// metrics — the single engine-facing entry point every shardable figure
-/// rides, so the grid description (what `repro shard` partitions and what
-/// the artifact records) and the sweep that executes can never disagree.
+/// metrics — the single engine-facing entry point every grid sweep rides,
+/// so the grid description (what `repro shard` partitions and what the
+/// artifact records) and the sweep that executes can never disagree.
 /// `hooks` carries the execution seams: cell-range restriction, sparse
-/// resume plan, checkpoint monitor.
+/// resume plan, checkpoint monitor. A run without any goes through the
+/// invocation's [`SweepMemo`], so a repeated sweep costs one projection.
 pub fn fold_grid<S: Simulator>(
     experiment: &'static str,
     config: S::Config,
     grid: &GridMeta,
+    opts: &Options,
+    hooks: &SweepHooks,
+) -> Vec<StatsCell>
+where
+    TrialSummary: From<S::Output>,
+    S::Config: fmt::Debug,
+{
+    if hooks.range.is_some() || hooks.missing.is_some() || hooks.monitor.is_some() {
+        return run_grid::<S>(experiment, config, grid, &grid.metrics, opts, hooks);
+    }
+    let key = SweepKey {
+        experiment,
+        backend: std::any::type_name::<S>(),
+        config: format!("{config:?}"),
+        algorithms: grid.algorithms.clone(),
+        ns: grid.ns.clone(),
+        trials: grid.trials,
+    };
+    opts.sweeps.cells(key, &grid.metrics, || {
+        run_grid::<S>(experiment, config, grid, &Metric::ALL, opts, hooks)
+    })
+}
+
+/// Runs the engine sweep behind [`fold_grid`], folding out `metrics`.
+fn run_grid<S: Simulator>(
+    experiment: &'static str,
+    config: S::Config,
+    grid: &GridMeta,
+    metrics: &[Metric],
     opts: &Options,
     hooks: &SweepHooks,
 ) -> Vec<StatsCell>
@@ -86,7 +201,7 @@ where
         exec,
     }
     .run_fold_monitored(
-        MetricStats::collector(&grid.metrics),
+        MetricStats::collector(metrics),
         hooks.missing,
         hooks.monitor,
         Some(&costs),
@@ -223,6 +338,93 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         }
+    }
+
+    fn memo_len(opts: &Options) -> usize {
+        opts.sweeps.sweeps.lock().unwrap().len()
+    }
+
+    /// Trial `t` of `metric` in `cell`, `None` while unrecorded.
+    fn trial(cell: &StatsCell, metric: Metric, t: usize) -> Option<f64> {
+        let i = cell.acc.metrics().iter().position(|&m| m == metric)?;
+        Some(cell.acc.raw_samples()[i].raw()[t]).filter(|v| !v.is_nan())
+    }
+
+    #[test]
+    fn a_repeated_sweep_is_a_memo_hit_projected_to_its_metrics() {
+        let opts = tiny_opts();
+        let first = mac_stats(&opts, 64, &[Metric::CwSlots]);
+        assert_eq!(memo_len(&opts), 1);
+        let metrics = [Metric::TotalTimeUs, Metric::CwSlots];
+        let second = mac_stats(&opts, 64, &metrics);
+        assert_eq!(memo_len(&opts), 1, "the second call re-ran the sweep");
+        assert_eq!(first, mac_stats(&tiny_opts(), 64, &[Metric::CwSlots]));
+        assert_eq!(second, mac_stats(&tiny_opts(), 64, &metrics));
+        assert!(second.iter().all(|c| c.acc.metrics() == metrics));
+        // Another payload is another stream.
+        mac_stats(&opts, 1024, &[Metric::CwSlots]);
+        assert_eq!(memo_len(&opts), 2);
+    }
+
+    #[test]
+    fn execution_seams_bypass_the_memo_and_match_the_full_run() {
+        struct Ignore;
+        impl SweepMonitor<MetricStats> for Ignore {
+            fn snapshot(&self, _: contention_sim::monitor::SweepSnapshot<MetricStats>) {}
+        }
+        let metrics = [Metric::CwSlots];
+        let full = mac_stats(&tiny_opts(), 64, &metrics);
+        let missing = [(1, vec![0, 2]), (6, vec![1])];
+        let hooks = [
+            SweepHooks::range(Some(CellRange { lo: 2, hi: 5 })),
+            SweepHooks {
+                missing: Some(&missing),
+                ..SweepHooks::default()
+            },
+            SweepHooks {
+                monitor: Some((SnapshotCadence::trials(1), &Ignore)),
+                ..SweepHooks::default()
+            },
+        ];
+        for hooks in &hooks {
+            let opts = tiny_opts();
+            let cells = mac_stats_range(&opts, 64, &metrics, hooks);
+            assert_eq!(memo_len(&opts), 0, "a hooked run went through the memo");
+            let mut compared = 0;
+            for cell in &cells {
+                let twin = full
+                    .iter()
+                    .find(|c| (c.algorithm, c.n) == (cell.algorithm, cell.n))
+                    .expect("a grid cell");
+                for t in 0..3 {
+                    if let Some(v) = trial(cell, Metric::CwSlots, t) {
+                        assert_eq!(Some(v), trial(twin, Metric::CwSlots, t));
+                        compared += 1;
+                    }
+                }
+            }
+            assert!(compared >= 3, "only {compared} trials ran");
+        }
+    }
+
+    #[test]
+    fn other_payloads_under_one_tag_do_not_share_an_entry() {
+        let opts = tiny_opts();
+        let a = mac_stats(&opts, 100, &[Metric::TotalTimeUs]);
+        let b = mac_stats(&opts, 200, &[Metric::TotalTimeUs]);
+        assert_eq!(memo_len(&opts), 2);
+        assert_ne!(a, b);
+        assert_eq!(b, mac_stats(&tiny_opts(), 200, &[Metric::TotalTimeUs]));
+    }
+
+    #[test]
+    fn a_cloned_options_starts_with_an_empty_memo() {
+        let opts = tiny_opts();
+        mac_stats(&opts, 64, &[Metric::CwSlots]);
+        let copy = opts.clone();
+        assert_eq!(memo_len(&copy), 0);
+        assert_eq!(copy, opts, "equality ignores the memo");
+        assert_eq!(format!("{:?}", copy.sweeps), format!("{:?}", opts.sweeps));
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Tables I, II and III.
 
-use crate::aggregate::{MetricStats, StatsCell};
-use crate::figures::shared::paper_algorithms;
+use crate::aggregate::StatsCell;
+use crate::figures::shared::{fold_grid, paper_algorithms, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
+use crate::shard::GridMeta;
 use crate::summary::Metric;
-use crate::sweep::{folded, Sweep};
+use crate::sweep::folded;
 use crate::table::render;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::bounds::{collisions_bound, cw_slots_bound};
 use contention_core::params::Phy80211g;
+use contention_sim::sched::CostSpec;
 use contention_slotted::windowed::WindowedConfig;
 use contention_slotted::WindowedSim;
 
@@ -65,16 +67,21 @@ fn growth_sweep(opts: &Options, metric: Metric) -> (Vec<u32>, Vec<StatsCell>) {
     } else {
         vec![100, 400, 1_600, 6_400]
     };
-    let cells = Sweep::<WindowedSim> {
-        experiment: "growth-tables",
-        config: WindowedConfig::abstract_model(AlgorithmKind::Beb),
+    let grid = GridMeta {
         algorithms: paper_algorithms(),
-        ns: ns.clone(),
+        ns,
         trials: opts.trials_or(8, 30),
-        exec: opts.exec(),
-    }
-    .run_fold(MetricStats::collector(std::slice::from_ref(&metric)));
-    (ns, cells)
+        metrics: vec![metric],
+        cost: CostSpec::NLogN,
+    };
+    let cells = fold_grid::<WindowedSim>(
+        "growth-tables",
+        WindowedConfig::abstract_model(AlgorithmKind::Beb),
+        &grid,
+        opts,
+        &SweepHooks::none(),
+    );
+    (grid.ns, cells)
 }
 
 /// The Θ-shape each algorithm is supposed to follow.

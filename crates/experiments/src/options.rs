@@ -1,5 +1,6 @@
 //! CLI options shared by every `repro` subcommand.
 
+use crate::figures::shared::SweepMemo;
 use contention_sim::engine::ExecPolicy;
 use contention_sim::monitor::SnapshotCadence;
 use std::path::PathBuf;
@@ -81,6 +82,10 @@ pub struct Options {
     /// `shard`/`serve`, the artifact directories for `merge`. Empty
     /// elsewhere.
     pub inputs: Vec<String>,
+    /// Full-grid sweeps already run under these options, so experiments
+    /// sharing a sweep within one invocation run it once (see
+    /// [`crate::figures::shared`]). Starts empty; a clone starts empty.
+    pub sweeps: SweepMemo,
 }
 
 impl Options {

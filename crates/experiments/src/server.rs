@@ -59,7 +59,7 @@ use contention_core::merge::MergeStats;
 use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,6 +80,10 @@ pub const WAIT_RETRY_MS: u64 = 200;
 /// Request bodies larger than this are rejected up front — a full-grid
 /// artifact is megabytes; hundreds of megabytes is an attack, not a result.
 const MAX_BODY_BYTES: usize = 64 << 20;
+/// Cap on the request line plus headers together — the workers send a few
+/// dozen bytes; anything past this is refused with 431 rather than grown
+/// into one unbounded line buffer.
+const MAX_HEAD_BYTES: u64 = 16 << 10;
 /// Concurrent request-handler cap (the semaphore's permit count): enough
 /// for a busy fleet, bounded so a connection flood cannot spawn unbounded
 /// threads.
@@ -618,6 +622,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         404 => "Not Found",
         409 => "Conflict",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let _ = stream.write_all(
@@ -635,15 +640,14 @@ fn json_str(s: &str) -> String {
 }
 
 /// Reads one request. A malformed one yields the `(status, body)` to answer
-/// with: `413` for a body over `MAX_BODY_BYTES` (refused before any buffer
-/// for it is allocated), `400` for anything else.
+/// with: `431` for a request line plus headers over `MAX_HEAD_BYTES`, `413`
+/// for a body over `MAX_BODY_BYTES` (both refused before any buffer for
+/// them grows past the cap), `400` for anything else.
 fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
     let bad = |message: String| (400, error_body(&message));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| bad(format!("cannot read request line: {e}")))?;
+    let mut head = (&mut reader).take(MAX_HEAD_BYTES);
+    let line = read_head_line(&mut head, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let path = parts.next().unwrap_or_default().to_string();
@@ -652,10 +656,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
     }
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| bad(format!("cannot read header: {e}")))?;
+        let header = read_head_line(&mut head, "header")?;
         let header = header.trim();
         if header.is_empty() {
             break;
@@ -683,6 +684,23 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
         .map_err(|e| bad(format!("cannot read body: {e}")))?;
     let body = String::from_utf8(body).map_err(|_| bad("body is not UTF-8".to_string()))?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one line of the request head from the `MAX_HEAD_BYTES`-capped
+/// reader; a line cut off by the cap is a `431`.
+fn read_head_line<R: BufRead>(head: &mut Take<R>, what: &str) -> Result<String, (u16, String)> {
+    let mut line = String::new();
+    head.read_line(&mut line)
+        .map_err(|e| (400, error_body(&format!("cannot read {what}: {e}"))))?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err((
+            431,
+            error_body(&format!(
+                "request line and headers exceed the {MAX_HEAD_BYTES}-byte cap"
+            )),
+        ));
+    }
+    Ok(line)
 }
 
 fn route(req: &Request, shared: &Shared) -> (u16, String) {
@@ -1065,6 +1083,40 @@ mod tests {
             assert!(error.contains(message), "{shown:?}: {error}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A request head that never ends — 1 MiB with no newline, or a valid
+    /// request line followed by endless headers — is refused at the cap
+    /// with a clean 431 instead of growing one line buffer.
+    #[test]
+    fn an_endless_request_head_is_refused_at_the_cap() {
+        let headers = b"GET /lease HTTP/1.1\r\n"
+            .iter()
+            .chain(b"X-Filler: 0123456789\r\n".repeat(1 << 15).iter())
+            .copied()
+            .collect::<Vec<u8>>();
+        for flood in [vec![b'a'; 1 << 20], headers] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let sender = std::thread::spawn(move || {
+                let mut client = TcpStream::connect(addr).unwrap();
+                // The server stops reading at the cap and hangs up, so the
+                // tail of this write may fail; only the refusal matters.
+                let _ = client.write_all(&flood);
+            });
+            let (mut served, _) = listener.accept().unwrap();
+            served.set_read_timeout(Some(SOCKET_TIMEOUT)).unwrap();
+            let Err((status, body)) = read_request(&mut served) else {
+                panic!("an over-cap request head was accepted");
+            };
+            assert_eq!(status, 431, "{body}");
+            assert!(
+                body.contains(&format!("{MAX_HEAD_BYTES}-byte cap")),
+                "{body}"
+            );
+            drop(served);
+            sender.join().unwrap();
+        }
     }
 
     #[test]

@@ -36,15 +36,21 @@ use crate::progress::Progress;
 use crate::summary::TrialSummary;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::rng::{experiment_tag, trial_rng};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long the snapshot thread sleeps between cadence checks. Snapshots
 /// themselves are taken at the requested cadence; this only bounds how stale
 /// the "is one due?" decision can be.
 const SNAPSHOT_POLL: Duration = Duration::from_millis(20);
+
+/// Locks `mutex`, ignoring poison: a panicked critical section leaves the
+/// data as it was, and the panic itself already propagates out of the sweep.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The internals a monitored run threads to its snapshot thread. The
 /// accumulator clone is a stored `fn` so the common (unmonitored) paths do
@@ -665,7 +671,7 @@ impl<S: Simulator> Sweep<S> {
                     let config = S::with_algorithm(&base, alg);
                     let mut rng = trial_rng(tag, alg, n, trial);
                     let value = map(S::run_with(&config, n, &mut rng, scratch));
-                    accumulators[cell_index].lock().record(trial, value);
+                    lock(&accumulators[cell_index]).record(trial, value);
                     progress.tick();
                 }
             };
@@ -707,7 +713,7 @@ impl<S: Simulator> Sweep<S> {
                                         .map(|(&(algorithm, n), acc)| FoldedCell {
                                             algorithm,
                                             n,
-                                            acc: (hook.clone_acc)(&acc.lock()),
+                                            acc: (hook.clone_acc)(&lock(acc)),
                                         })
                                         .collect();
                                     hook.sink.snapshot(SweepSnapshot {
@@ -739,7 +745,7 @@ impl<S: Simulator> Sweep<S> {
             .map(|((algorithm, n), acc)| FoldedCell {
                 algorithm,
                 n,
-                acc: acc.into_inner(),
+                acc: acc.into_inner().unwrap_or_else(PoisonError::into_inner),
             })
             .collect()
     }
@@ -1309,9 +1315,7 @@ mod tests {
                 folded as usize <= snap.completed_trials,
                 "snapshot saw more folded trials than the counter reported"
             );
-            self.snaps
-                .lock()
-                .push((snap.completed_trials, snap.total_trials, snap.finished));
+            lock(&self.snaps).push((snap.completed_trials, snap.total_trials, snap.finished));
         }
     }
 
@@ -1326,7 +1330,7 @@ mod tests {
             None,
         );
         assert_eq!(plain, monitored, "attaching a monitor changed the fold");
-        let snaps = monitor.snaps.into_inner();
+        let snaps = monitor.snaps.into_inner().unwrap();
         assert!(!snaps.is_empty());
         let &(done, total, finished) = snaps.last().unwrap();
         assert!(finished, "last snapshot must be flagged finished");

@@ -212,8 +212,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Mutex;
 
     #[test]
     fn batches_cover_every_index_exactly_once() {
@@ -262,13 +262,13 @@ mod tests {
                 || (),
                 |range, _| {
                     let results: Vec<u64> = range.clone().map(compute).collect();
-                    let mut out = out.lock();
+                    let mut out = out.lock().unwrap();
                     for (i, r) in range.zip(results) {
                         out[i] = r;
                     }
                 },
             );
-            out.into_inner()
+            out.into_inner().unwrap()
         };
         let golden = run(1, 1);
         for threads in [2usize, 8] {
@@ -285,8 +285,14 @@ mod tests {
     #[test]
     fn sequential_path_runs_in_order() {
         let seen = Mutex::new(Vec::new());
-        parallel_for_batches(10, 1, 3, || (), |range, _| seen.lock().extend(range));
-        assert_eq!(seen.into_inner(), (0..10).collect::<Vec<_>>());
+        parallel_for_batches(
+            10,
+            1,
+            3,
+            || (),
+            |range, _| seen.lock().unwrap().extend(range),
+        );
+        assert_eq!(seen.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -408,13 +414,13 @@ mod tests {
                 || (),
                 |range, _| {
                     let results: Vec<u64> = range.clone().map(compute).collect();
-                    let mut out = out.lock();
+                    let mut out = out.lock().unwrap();
                     for (i, r) in range.zip(results) {
                         out[i] = r;
                     }
                 },
             );
-            assert_eq!(golden, out.into_inner(), "threads={threads}");
+            assert_eq!(golden, out.into_inner().unwrap(), "threads={threads}");
         }
     }
 

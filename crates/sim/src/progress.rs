@@ -7,9 +7,9 @@
 //! micro-trials. When stderr is piped — CI logs, `2>file` — nothing is ever
 //! printed, as batch output should be.
 
-use parking_lot::Mutex;
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Minimum interval between repaints.
@@ -48,11 +48,13 @@ impl Progress {
         if !self.enabled {
             return;
         }
-        let Some(mut last) = self.last_print.try_lock() else {
+        let mut last = match self.last_print.try_lock() {
+            Ok(last) => last,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             // Another worker is painting. If this was the *final* tick the
             // repaint it deserved comes from `finish()` after the join, so
             // dropping it here cannot strand a stale line.
-            return;
+            Err(TryLockError::WouldBlock) => return,
         };
         if done < self.total && last.elapsed() < MIN_INTERVAL {
             return;

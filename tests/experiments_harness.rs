@@ -86,3 +86,52 @@ fn headline_percent_lines_exist() {
         );
     }
 }
+
+/// One `Options` shared across the experiments whose sweeps coincide (the
+/// way `repro all` runs them) reproduces a fresh run of each experiment
+/// byte for byte: report body and every CSV and JSON artifact.
+#[test]
+fn shared_sweeps_match_per_experiment_runs_byte_for_byte() {
+    const SHARING: [&str; 13] = [
+        "table2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+        "table3", "fig18", "fig19",
+    ];
+    let root = std::env::temp_dir().join(format!("repro-shared-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (shared_dir, single_dir) = (root.join("shared"), root.join("single"));
+    let shared = tiny_options();
+    let mut ran = 0;
+    for (name, _, runner) in registry() {
+        if !SHARING.contains(&name) {
+            continue;
+        }
+        let from_shared = runner(&shared);
+        let from_fresh = runner(&tiny_options());
+        assert_eq!(from_shared.body, from_fresh.body, "{name}: body");
+        for (report, dir) in [(&from_shared, &shared_dir), (&from_fresh, &single_dir)] {
+            report.write_csv(dir).expect("write CSVs");
+            report.write_json(dir).expect("write JSON");
+        }
+        ran += 1;
+    }
+    assert_eq!(ran, SHARING.len(), "an experiment left the registry");
+    let listing = |dir: &PathBuf| {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("artifacts written")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        files.sort();
+        files
+    };
+    let files = listing(&single_dir);
+    assert!(!files.is_empty());
+    assert_eq!(listing(&shared_dir), files);
+    for file in &files {
+        let read = |dir: &PathBuf| std::fs::read(dir.join(file)).expect("artifact");
+        assert!(
+            read(&shared_dir) == read(&single_dir),
+            "{file:?} differs between the shared and the fresh run"
+        );
+    }
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}
