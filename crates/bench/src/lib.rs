@@ -83,7 +83,7 @@ pub fn shape_check(name: &str, ok: bool, detail: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contention_sim::engine::Sweep;
+    use contention_sim::engine::{Slots, Sweep, SweepHooks};
 
     #[test]
     fn mac_median_is_deterministic() {
@@ -114,7 +114,7 @@ mod tests {
         // The whole point of routing benches through the engine: a bench
         // trial and the corresponding sweep trial are the same run.
         let config = MacConfig::paper(AlgorithmKind::LogBackoff, 64);
-        let cells = Sweep::<MacSim> {
+        let mut cells = Sweep::<MacSim> {
             experiment: "bench-vs-sweep",
             config,
             algorithms: vec![AlgorithmKind::LogBackoff],
@@ -122,9 +122,13 @@ mod tests {
             trials: 3,
             exec: contention_sim::ExecPolicy::threads(2),
         }
-        .run_raw();
+        .run_fold(
+            |_, _, trials| Slots::<MacRun>::new(trials),
+            &SweepHooks::none(),
+        );
         let lone = mac_trial("bench-vs-sweep", &config, 15, 2);
-        assert_eq!(cells[0].trials[2].metrics, lone.metrics);
+        let sweep_trials = cells.remove(0).acc.into_vec();
+        assert_eq!(sweep_trials[2].metrics, lone.metrics);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Identification of the contention-resolution algorithms under study.
 
 use crate::schedule::{Schedule, Truncation};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Every algorithm evaluated by the paper, plus the ablation baselines this
@@ -13,7 +12,7 @@ use std::fmt;
 /// backoff — and therefore has no pure window schedule of its own.
 /// `Polynomial` is an extra baseline motivated by the related work on
 /// polynomial backoff (paper's reference [53]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// Binary exponential backoff: `W ← 2W`.
     Beb,

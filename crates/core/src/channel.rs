@@ -25,11 +25,10 @@
 //! regression tests rely on exactly this.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How (and whether) a collision of `k ≥ 2` senders can still deliver one
 /// frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Recovery {
     /// Collisions are fatal (assumption A1; the paper's model).
     None,
@@ -100,7 +99,7 @@ pub enum SlotFate {
 /// selection) so every consumer draws the same RNG stream for the same
 /// channel state — thread-count-invariant sweeps depend on this being
 /// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelModel {
     /// Collision-softening rule.
     pub recovery: Recovery,

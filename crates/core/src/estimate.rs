@@ -16,10 +16,9 @@
 //! collision-frugal (Figure 19).
 
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the estimation phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BestOfKSpec {
     /// Probe slots per phase (the `k` in Best-of-k; the paper runs 3 and 5).
     pub k: u32,

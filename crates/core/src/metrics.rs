@@ -13,10 +13,9 @@
 //! timeouts (Figure 11) and time spent waiting in ACK timeouts (Figure 12).
 
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Per-station accounting (one packet per station in the single-batch case).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StationMetrics {
     /// Transmission attempts, including the final successful one.
     pub attempts: u32,
@@ -32,7 +31,7 @@ pub struct StationMetrics {
 }
 
 /// Result of simulating one single-batch trial.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchMetrics {
     /// Number of stations/packets in the batch.
     pub n: u32,

@@ -28,10 +28,9 @@
 
 use crate::params::Phy80211g;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// The `T_A = C_A · (P + ρ) + W_A · s` estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// `P`: serialization time of one data packet (headers included,
     /// preamble excluded).
@@ -69,7 +68,7 @@ impl CostModel {
 
 /// §III-B's three-way decomposition of where total time goes, used for the
 /// back-of-the-envelope lower bound on BEB at `n = 150`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decomposition {
     /// (I) Transmission time attributable to collisions: disjoint collisions
     /// × (packet + preamble).

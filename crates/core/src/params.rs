@@ -1,7 +1,6 @@
 //! The IEEE 802.11g parameter set (Table I of the paper) and frame timing.
 
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// All PHY/MAC constants the experiments depend on.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// | Packet overhead | 64 B |
 /// | CWmin / CWmax | 1 / 1024 |
 /// | RTS/CTS | off |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Phy80211g {
     /// Payload+header bit rate, bits per second.
     pub data_rate_bps: u64,

@@ -21,10 +21,8 @@
 //! assert_eq!(stb.take_windows(6), vec![2, 4, 2, 8, 4, 2]);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// CWmin/CWmax clamping applied to every schedule (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Truncation {
     /// Smallest window a schedule may emit (also the starting window).
     pub cw_min: u32,

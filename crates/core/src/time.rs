@@ -5,15 +5,12 @@
 //! simulators keep a `u64` nanosecond clock. `u64` nanoseconds cover ~584
 //! years of simulated time — far beyond any experiment here.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A point in simulated time, or a duration, in nanoseconds.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Nanos(pub u64);
 
 impl Nanos {

@@ -7,7 +7,8 @@
 //! buffers (one [`StreamingSample`] per metric), so a cell retains
 //! `trials × requested-metrics × 8` bytes instead of `trials ×
 //! size_of::<TrialSummary>()`. The buffers are position-addressed by trial
-//! index, so the fold is bit-identical across thread counts and batch sizes.
+//! index, so the fold is bit-identical across thread counts and claim
+//! schedules.
 
 use crate::summary::{Metric, TrialSummary};
 use contention_core::algorithm::AlgorithmKind;
@@ -18,10 +19,9 @@ use contention_stats::ci::median_ci95;
 use contention_stats::outliers::without_outliers;
 use contention_stats::stream::StreamingSample;
 use contention_stats::summary::median;
-use serde::{Deserialize, Serialize};
 
 /// One plotted point: median with its 95 % confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     pub x: f64,
     pub median: f64,
@@ -34,7 +34,7 @@ pub struct SeriesPoint {
 }
 
 /// A named series (one line of a figure).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     pub name: String,
     pub points: Vec<SeriesPoint>,

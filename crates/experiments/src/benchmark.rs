@@ -19,6 +19,7 @@
 //! rotting, without pretending CI wall time is a measurement.
 
 use crate::aggregate::MetricStats;
+use crate::figures::shared::SweepHooks;
 use crate::figures::Report;
 use crate::jsonout::{escape, num};
 use crate::options::Options;
@@ -82,11 +83,12 @@ const BASELINE_MEDIUM: f64 = 88_900.0;
 const BASELINE_DYN_SATURATION: f64 = 147_263_517.0;
 const BASELINE_DYN_DRAIN: f64 = 2_105_455.0;
 // The scheduler-tail workload was measured at the PR 8 tree (commit
-// f1575ac), immediately before the cost-aware runtime: fixed `auto_batch`
-// claims from the atomic cursor, grid-order claiming, no worker-count cap,
-// and a fresh `thread::scope` (8 spawns + joins) for every one of the
-// workload's twenty-four sub-sweeps. The grid and trial set are identical
-// on both sides — only the runtime around them changed.
+// f1575ac), immediately before the cost-aware runtime: fixed-size claims
+// (`total / (32 × threads)`, capped at 1024) from the atomic cursor,
+// grid-order claiming, no worker-count cap, and a fresh `thread::scope`
+// (8 spawns + joins) for every one of the workload's twenty-four
+// sub-sweeps. The grid and trial set are identical on both sides — only
+// the runtime around them changed.
 const BASELINE_SCHED_TAIL: f64 = 12_419_817.0;
 
 /// One benchmark workload. `make` builds the iteration closure fresh per
@@ -351,11 +353,12 @@ fn sched_tail_pass() -> u64 {
             trials: 2,
             exec: ExecPolicy::threads(8),
         }
-        .run_fold_monitored(
+        .run_fold(
             MetricStats::collector(&[Metric::CwSlots]),
-            None,
-            None,
-            Some(&costs),
+            &SweepHooks {
+                costs: Some(&costs),
+                ..SweepHooks::none()
+            },
         );
         for cell in &cells {
             for sample in cell.acc.raw_samples() {

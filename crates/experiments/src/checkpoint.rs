@@ -322,9 +322,9 @@ fn recorded_trials(state: &ShardState) -> usize {
 }
 
 /// The resume work plan: for each canonical grid-cell index, the trials the
-/// state has not recorded — exactly the `missing` argument of
-/// `Sweep::run_fold_monitored`. Cells with nothing missing are omitted; a
-/// complete state yields an empty plan.
+/// state has not recorded — exactly the engine's `SweepHooks::missing`
+/// plan. Cells with nothing missing are omitted; a complete state yields an
+/// empty plan.
 ///
 /// A trial recorded for only *some* of a cell's metrics cannot have come
 /// from this pipeline (trials record all metrics atomically under the cell

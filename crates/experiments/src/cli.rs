@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json]
-//!       [--threads N] [--batch N]
+//!       [--threads N]
 //! repro shard <experiment> --shard i/N --out DIR   # partial-state artifact
 //! repro merge DIR... --out DIR [--json]            # recombine + report
 //! ```
@@ -231,14 +231,12 @@ fn run_resume(opts: &Options) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    // Rebuild the grid-shaping options of the original run; execution knobs
-    // (--threads/--batch) may differ freely — results are independent of
-    // them.
+    // Rebuild the grid-shaping options of the original run; --threads may
+    // differ freely — results are independent of it.
     let run_opts = Options {
         full: state.full,
         trials: Some(state.grid.trials),
         threads: opts.threads,
-        batch: opts.batch,
         ..Options::default()
     };
     let grid = (entry.grid)(&run_opts);
@@ -426,7 +424,7 @@ pub fn main() -> ExitCode {
 fn print_usage() {
     println!(
         "usage: repro <experiment|all|list|bench> [--full] [--quick] [--trials N] [--out DIR] \
-         [--json] [--threads N] [--batch N]"
+         [--json] [--threads N]"
     );
     println!("       repro shard <experiment> --shard i/N --out DIR   (partial-state artifact)");
     println!("       repro merge DIR... --out DIR [--json]            (recombine + report)");
@@ -442,9 +440,8 @@ fn print_usage() {
     println!("  --trials N  override the trial count");
     println!("  --out DIR   also write CSV series to DIR");
     println!("  --json      also write JSON artifacts to DIR (needs --out)");
-    println!("  --threads N worker threads (default: all cores)");
-    println!("  --batch N   pin fixed N-trial claims instead of the default cost-tapered");
-    println!("              scheduling (results are bit-identical either way)");
+    println!("  --threads N worker threads (default: all cores; 1 runs inline in a fixed");
+    println!("              claim order; results are bit-identical at any count)");
     println!("  --shard i/N run only cell shard i of N, split by estimated work (shard");
     println!("              subcommand; merged output is byte-identical to one process)");
     println!("  --checkpoint           snapshot in-flight state into DIR/checkpoints/ and");

@@ -7,6 +7,7 @@
 //! three components directly.
 
 use crate::aggregate::MetricStats;
+use crate::figures::shared::SweepHooks;
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
@@ -28,12 +29,15 @@ pub fn run(opts: &Options) -> Report {
         trials: opts.trials_or(8, 30),
         exec: opts.exec(),
     }
-    .run_fold(MetricStats::collector(&[
-        Metric::Collisions,
-        Metric::CwSlots,
-        Metric::MaxAckTimeoutTimeUs,
-        Metric::TotalTimeUs,
-    ]));
+    .run_fold(
+        MetricStats::collector(&[
+            Metric::Collisions,
+            Metric::CwSlots,
+            Metric::MaxAckTimeoutTimeUs,
+            Metric::TotalTimeUs,
+        ]),
+        &SweepHooks::none(),
+    );
     let cell = &cells[0].acc;
     let x = n as f64;
     let collisions = cell.point(x, Metric::Collisions).median;

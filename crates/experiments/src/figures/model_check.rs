@@ -10,7 +10,7 @@
 //!    the same winner the MAC simulator measures.
 
 use crate::aggregate::MetricStats;
-use crate::figures::shared::paper_algorithms;
+use crate::figures::shared::{paper_algorithms, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
@@ -69,10 +69,10 @@ pub fn run(opts: &Options) -> Report {
         trials,
         exec: opts.exec(),
     }
-    .run_fold(MetricStats::collector(&[
-        Metric::Collisions,
-        Metric::CwSlots,
-    ]));
+    .run_fold(
+        MetricStats::collector(&[Metric::Collisions, Metric::CwSlots]),
+        &SweepHooks::none(),
+    );
     let phy = Phy80211g::paper_defaults();
     for payload in [64u32, 1024] {
         let mac_cells = Sweep::<MacSim> {
@@ -83,7 +83,10 @@ pub fn run(opts: &Options) -> Report {
             trials,
             exec: opts.exec(),
         }
-        .run_fold(MetricStats::collector(&[Metric::TotalTimeUs]));
+        .run_fold(
+            MetricStats::collector(&[Metric::TotalTimeUs]),
+            &SweepHooks::none(),
+        );
         let model = CostModel::for_payload(&phy, payload);
         let mut rows = Vec::new();
         let mut predicted: Vec<(String, f64)> = Vec::new();

@@ -6,6 +6,7 @@
 //! depends on collisions × packet time).
 
 use crate::aggregate::{aggregate_values, paired_differences, MetricStats, Series};
+use crate::figures::shared::SweepHooks;
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
@@ -37,7 +38,10 @@ pub fn fig14(opts: &Options) -> Report {
             trials,
             exec: opts.exec(),
         }
-        .run_fold(MetricStats::collector(&[Metric::TotalTimeUs]));
+        .run_fold(
+            MetricStats::collector(&[Metric::TotalTimeUs]),
+            &SweepHooks::none(),
+        );
         // Position-addressed buffers keep trial order, so pairing by index
         // still compares common-random-number partners.
         let diffs = paired_differences(

@@ -7,6 +7,7 @@
 //! qualitative picture.
 
 use crate::aggregate::MetricStats;
+use crate::figures::shared::SweepHooks;
 use crate::figures::Report;
 use crate::options::Options;
 use crate::summary::Metric;
@@ -33,7 +34,10 @@ pub fn run(opts: &Options) -> Report {
                 trials,
                 exec: opts.exec(),
             }
-            .run_fold(MetricStats::collector(&[Metric::TotalTimeUs]));
+            .run_fold(
+                MetricStats::collector(&[Metric::TotalTimeUs]),
+                &SweepHooks::none(),
+            );
             let beb = cells[0].acc.point(n as f64, Metric::TotalTimeUs).median;
             let llb = cells[1].acc.point(n as f64, Metric::TotalTimeUs).median;
             let paper = match (payload, rts) {

@@ -13,7 +13,7 @@
 //! grid asks for. The memo is keyed by everything that decides a result —
 //! experiment tag, backend type, backend config (its `Debug` rendering),
 //! algorithms, `n` grid and trial count — and by nothing that doesn't
-//! (threads, `--batch`, claim costs). It lives as long as the `Options`
+//! (threads, claim costs). It lives as long as the `Options`
 //! value it sits in: `repro all` shares one across experiments, a clone
 //! starts empty, and runs with execution seams attached (shard range,
 //! resume plan, checkpoint monitor — the serve and work paths) bypass it.
@@ -31,8 +31,6 @@ use crate::sweep::{ExecPolicy, Simulator, Sweep};
 use crate::table::render_series;
 use contention_core::algorithm::AlgorithmKind;
 use contention_mac::{MacConfig, MacSim};
-use contention_sim::engine::CellRange;
-use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
 use contention_sim::sched::CostSpec;
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
@@ -42,35 +40,12 @@ pub fn paper_algorithms() -> Vec<AlgorithmKind> {
     AlgorithmKind::PAPER_SET.to_vec()
 }
 
-/// Execution seams the CLI threads into a shardable figure's sweep. One
-/// struct (rather than a parameter per seam) because every shardable
-/// `*_cells` function forwards it untouched to [`fold_grid`].
-#[derive(Default, Clone, Copy)]
-pub struct SweepHooks<'a> {
-    /// Restrict the run to these grid cells (`repro shard`).
-    pub range: Option<CellRange>,
-    /// Run only these `(grid cell index, trials)` (`repro resume`); mutually
-    /// exclusive with `range`.
-    pub missing: Option<&'a [(usize, Vec<u32>)]>,
-    /// Snapshot the in-flight accumulators on this cadence into this sink
-    /// (`--checkpoint`).
-    pub monitor: Option<(SnapshotCadence, &'a dyn SweepMonitor<MetricStats>)>,
-}
-
-impl<'a> SweepHooks<'a> {
-    /// No seams attached: the plain full-grid run.
-    pub fn none() -> SweepHooks<'static> {
-        SweepHooks::default()
-    }
-
-    /// Only a cell-range restriction (the `repro shard` path).
-    pub fn range(range: Option<CellRange>) -> SweepHooks<'static> {
-        SweepHooks {
-            range,
-            ..SweepHooks::default()
-        }
-    }
-}
+/// Execution seams the CLI threads into a shardable figure's sweep: the
+/// engine's hooks over [`MetricStats`] — cell range (`repro shard`), sparse
+/// plan (`repro resume`, leases) and checkpoint monitor (`--checkpoint`).
+/// Every shardable `*_cells` function forwards them untouched to
+/// [`fold_grid`], which supplies the grid's cost table.
+pub type SweepHooks<'a> = contention_sim::engine::SweepHooks<'a, MetricStats>;
 
 /// Everything that decides a full-grid sweep's results.
 #[derive(PartialEq)]
@@ -187,8 +162,6 @@ fn run_grid<S: Simulator>(
 where
     TrialSummary: From<S::Output>,
 {
-    let mut exec = opts.exec();
-    exec.cells = hooks.range;
     // The grid's cost table rides along so the engine can taper claims and
     // start heavy cells first; it cannot affect any result bit.
     let costs = grid.cell_trial_costs();
@@ -198,13 +171,14 @@ where
         algorithms: grid.algorithms.clone(),
         ns: grid.ns.clone(),
         trials: grid.trials,
-        exec,
+        exec: opts.exec(),
     }
-    .run_fold_monitored(
+    .run_fold(
         MetricStats::collector(metrics),
-        hooks.missing,
-        hooks.monitor,
-        Some(&costs),
+        &SweepHooks {
+            costs: Some(&costs),
+            ..*hooks
+        },
     )
 }
 
@@ -271,7 +245,7 @@ where
         trials,
         exec,
     }
-    .run_fold(MetricStats::collector(metrics));
+    .run_fold(MetricStats::collector(metrics), &SweepHooks::none());
     cells.remove(0).acc
 }
 
@@ -331,6 +305,8 @@ pub fn report_from_series(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contention_sim::engine::CellRange;
+    use contention_sim::monitor::{SnapshotCadence, SweepMonitor};
 
     fn tiny_opts() -> Options {
         Options {

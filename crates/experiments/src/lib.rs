@@ -39,7 +39,7 @@
 //! * [`worker`] — the `repro work` half: claims leases, runs exactly the
 //!   leased trials through the shared engine path, POSTs artifacts back.
 //! * [`options`] — the `repro` CLI options (quick vs `--full` paper grids,
-//!   `--threads` / `--batch` execution knobs).
+//!   the `--threads` execution knob).
 //! * [`cli`] — the `repro` entry point; the binary itself lives in the
 //!   workspace root package so `cargo run --bin repro` needs no `-p` flag.
 

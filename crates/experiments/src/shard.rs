@@ -11,7 +11,7 @@
 //! round-trip exact ([`crate::jsonout`] / [`crate::jsonin`]), the merged
 //! report is **byte-identical** to a single-process run — the property
 //! `tests/shard_equivalence.rs` pins across backends, shard counts and
-//! batch sizes.
+//! cost tables.
 //!
 //! Artifact shape (`<experiment>.s<i>of<N>.shardstate.json`):
 //!

@@ -9,11 +9,14 @@
 //! * `Sweep::<MacSim>` — the 802.11g DCF simulator,
 //! * `Sweep::<WindowedSim>` — the abstract aligned-window simulator,
 //! * `Sweep::<ResidualSim>` — the abstract residual-timer semantics,
-//! * `Sweep::<DynamicSim>` — long-lived traffic (uses [`Sweep::run_raw`]).
+//! * `Sweep::<DynamicSim>` — long-lived traffic.
+//!
+//! Every one of them runs through [`Sweep::run_fold`], the engine's single
+//! entry point.
 
 pub use contention_sim::engine::{
-    cell, folded, run_trial, Accumulator, Cell, CellRange, ExecPolicy, FoldedCell,
-    MergeableAccumulator, Simulator, Slots, Sweep, SweepCell,
+    folded, run_trial, Accumulator, CellRange, ExecPolicy, FoldedCell, MergeableAccumulator,
+    Simulator, Slots, Sweep,
 };
 
 #[cfg(test)]
@@ -21,8 +24,18 @@ mod tests {
     use super::*;
     use contention_core::algorithm::AlgorithmKind::*;
     use contention_mac::{MacConfig, MacSim};
+    use contention_sim::engine::SweepHooks;
+    use contention_sim::summary::TrialSummary;
     use contention_slotted::windowed::WindowedConfig;
     use contention_slotted::WindowedSim;
+
+    /// Every trial's summary, per cell, in grid order.
+    fn collect<S: Simulator>(sweep: &Sweep<S>) -> Vec<FoldedCell<Slots<TrialSummary>>>
+    where
+        TrialSummary: From<S::Output>,
+    {
+        sweep.run_fold(|_, _, trials| Slots::new(trials), &SweepHooks::none())
+    }
 
     #[test]
     fn mac_sweep_fills_every_cell_deterministically() {
@@ -34,17 +47,18 @@ mod tests {
             trials: 3,
             exec: ExecPolicy::threads(2),
         };
-        let a = sweep.run();
-        let b = Sweep {
+        let a = collect(&sweep);
+        let b = collect(&Sweep {
             exec: ExecPolicy::threads(7),
             ..sweep
-        }
-        .run();
+        });
         assert_eq!(a.len(), 4);
-        for (ca, cb) in a.iter().zip(&b) {
-            assert_eq!(ca.trials.len(), 3);
-            assert_eq!(ca.trials, cb.trials, "thread count changed results");
-            assert!(ca.trials.iter().all(|t| t.successes == ca.n));
+        for (ca, cb) in a.into_iter().zip(b) {
+            let n = ca.n;
+            let (ta, tb) = (ca.acc.into_vec(), cb.acc.into_vec());
+            assert_eq!(ta.len(), 3);
+            assert_eq!(ta, tb, "thread count changed results");
+            assert!(ta.iter().all(|t| t.successes == n));
         }
     }
 
@@ -58,10 +72,11 @@ mod tests {
             trials: 4,
             exec: ExecPolicy::threads(1),
         };
-        let cells = sweep.run();
+        let mut cells = collect(&sweep);
         assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].trials.len(), 4);
-        assert!(cells[0].trials.iter().all(|t| t.cw_slots > 0.0));
+        let trials = cells.remove(0).acc.into_vec();
+        assert_eq!(trials.len(), 4);
+        assert!(trials.iter().all(|t| t.cw_slots > 0.0));
     }
 
     #[test]
@@ -74,28 +89,24 @@ mod tests {
             trials: 1,
             exec: ExecPolicy::threads(1),
         };
-        let cells = sweep.run();
-        assert_eq!(cell(&cells, LogBackoff, 20).n, 20);
+        let cells = collect(&sweep);
+        assert_eq!(folded(&cells, LogBackoff, 20).n, 20);
     }
 
     #[test]
     fn single_trials_reproduce_sweep_cells() {
-        // `run_trial` (what the benches use) and `Sweep::run` (what the
-        // figures use) must draw from the same deterministic stream.
+        // `run_trial` (what the benches use) and `Sweep::run_fold` (what
+        // the figures use) must draw from the same deterministic stream.
         let config = MacConfig::paper(Sawtooth, 64);
-        let cells = Sweep::<MacSim> {
+        let mut cells = collect(&Sweep::<MacSim> {
             experiment: "sweep-vs-trial",
             config,
             algorithms: vec![Sawtooth],
             ns: vec![12],
             trials: 2,
             exec: ExecPolicy::threads(2),
-        }
-        .run();
+        });
         let lone = run_trial::<MacSim>("sweep-vs-trial", &config, 12, 1);
-        assert_eq!(
-            cells[0].trials[1],
-            contention_sim::summary::TrialSummary::from(lone)
-        );
+        assert_eq!(cells.remove(0).acc.into_vec()[1], TrialSummary::from(lone));
     }
 }

@@ -111,7 +111,6 @@ fn run_lease(lease: &Lease, opts: &Options) -> Result<String, String> {
         full: lease.full,
         trials: Some(lease.trials),
         threads: opts.threads,
-        batch: opts.batch,
         ..Options::default()
     };
     let grid = (entry.grid)(&run_opts);

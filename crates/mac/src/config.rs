@@ -6,10 +6,9 @@ use contention_core::estimate::BestOfKSpec;
 use contention_core::params::Phy80211g;
 use contention_core::schedule::Truncation;
 use contention_core::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Everything the simulator needs besides `n` and a RNG.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MacConfig {
     /// PHY/MAC constants (Table I).
     pub phy: Phy80211g,

@@ -13,27 +13,28 @@
 //!   the repository — sweeps, figures, benches — goes through this
 //!   derivation, so any number anywhere is reproducible in isolation.
 //! * [`Sweep`] — the Cartesian `(algorithm × n × trial)` grid, executed on
-//!   the batched deterministic runner under an [`ExecPolicy`].
+//!   the tapered deterministic runner under an [`ExecPolicy`] through its
+//!   one entry point, [`Sweep::run_fold`], with [`SweepHooks`] selecting
+//!   the work plan and attaching a monitor and a cost table.
 //!
 //! The engine *streams*: work items are generated on the fly from a single
-//! cursor (never materialized as a grid `Vec`), workers claim trials in
-//! batches, and each trial's result is **folded into a per-cell
+//! cursor (never materialized as a grid `Vec`), workers claim contiguous
+//! runs of trials, and each trial's result is **folded into a per-cell
 //! [`Accumulator`] inside the worker**. A figure that only needs two metrics
 //! of a million-trial sweep retains two `f64`s per trial — not a
 //! `TrialSummary` — which is what lets the abstract sweeps reach the paper's
-//! full n = 10⁵ grid (and 10⁶) in one process. The collect-style API
-//! ([`Sweep::run`], [`Sweep::run_mapped`]) still exists and is itself a fold
-//! into position-addressed slots, so both paths are bit-identical by
-//! construction across thread counts *and* batch sizes.
+//! full n = 10⁵ grid (and 10⁶) in one process. A caller that wants every
+//! trial's value folds into position-addressed [`Slots`], so collecting and
+//! folding are the same path, bit-identical across thread counts and claim
+//! schedules.
 //!
 //! A backend plugs in by implementing `Simulator`; nothing else in the
 //! experiment layer changes. This is the seam where additional channel
 //! models (e.g. the noisy/corrupted-slot model of arXiv:2408.11275) slot in.
 
 use crate::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
-use crate::parallel::{parallel_for_batches, parallel_for_tapered, TaperSchedule};
+use crate::parallel::{parallel_for_tapered, TaperSchedule};
 use crate::progress::Progress;
-use crate::summary::TrialSummary;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::rng::{experiment_tag, trial_rng};
 use rand::rngs::SmallRng;
@@ -52,15 +53,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The internals a monitored run threads to its snapshot thread. The
-/// accumulator clone is a stored `fn` so the common (unmonitored) paths do
-/// not pick up an `A: Clone` bound.
-struct MonitorHook<'a, A> {
-    cadence: SnapshotCadence,
-    sink: &'a dyn SweepMonitor<A>,
-    clone_acc: fn(&A) -> A,
-}
-
 /// One execution backend: everything [`Sweep`] needs to run trials of it.
 ///
 /// Implementations are zero-sized entry points (trial state lives inside
@@ -69,9 +61,10 @@ struct MonitorHook<'a, A> {
 pub trait Simulator {
     /// Full per-trial configuration, including the algorithm under test.
     type Config: Clone + Send + Sync;
-    /// Raw per-trial output. Backends with a [`TrialSummary`] conversion get
-    /// [`Sweep::run`] and [`Sweep::run_fold`]; the rest use
-    /// [`Sweep::run_raw`] / [`Sweep::run_fold_raw`].
+    /// Raw per-trial output. [`Sweep::run_fold`] converts it (via `From`)
+    /// to whatever its accumulators record: itself, or a
+    /// [`TrialSummary`](crate::summary::TrialSummary) for backends with
+    /// that conversion.
     type Output: Send;
     /// Reusable per-worker scratch arena: event queues, station tables,
     /// occupancy buffers — everything a trial needs that is not part of its
@@ -140,7 +133,7 @@ pub fn run_trial_with<S: Simulator>(
 ///
 /// Trials of a cell arrive **exactly once each but in arbitrary order**
 /// (workers race). For the sweep to stay bit-identical across thread counts
-/// and batch sizes, the final state must not depend on arrival order: either
+/// and claim schedules, the final state must not depend on arrival order: either
 /// address by position (write trial `t` into slot `t` — what the built-in
 /// collectors do) or fold with an exactly order-independent operation
 /// (counts, integer sums, min/max). Order-*sensitive* floating-point folds
@@ -348,10 +341,8 @@ impl TrialRange {
     }
 }
 
-/// How a sweep executes: worker threads, trials per work-item claim, cell
-/// range, and whether to report progress. Orthogonal to *what* the sweep
-/// computes — results are identical for every policy (a cell range selects a
-/// subset of the cells; it never changes their contents).
+/// How a sweep executes: worker threads and whether to report progress.
+/// Purely a performance knob — results are identical for every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
     /// Worker threads (`None` = all available, `Some(0|1)` = sequential).
@@ -359,18 +350,6 @@ pub struct ExecPolicy {
     /// parallelism — oversubscribed workers cost context switches without
     /// buying wall-clock, and results never depend on the worker count.
     pub threads: Option<usize>,
-    /// Trials claimed per scheduling step. `None` (the default) uses
-    /// tapered (guided self-scheduling) claims — sized off remaining
-    /// estimated work, shrinking toward one trial at the tail — with
-    /// heaviest cells claimed first when the run carries a cost table.
-    /// `Some(b)` pins fixed `b`-trial batches in grid order. Purely a
-    /// performance knob either way: results are bit-identical for every
-    /// setting.
-    pub batch: Option<usize>,
-    /// Run only the grid cells in `[lo, hi)` (`None` = the whole grid) —
-    /// the process-sharding seam: each shard folds its cell range, and the
-    /// per-cell accumulator states merge back losslessly.
-    pub cells: Option<CellRange>,
     /// Report trials-completed / ETA on stderr (only when stderr is a TTY).
     pub progress: bool,
 }
@@ -383,30 +362,70 @@ impl ExecPolicy {
             ..ExecPolicy::default()
         }
     }
+}
 
-    /// Same policy with an explicit batch size.
-    pub fn with_batch(mut self, batch: usize) -> ExecPolicy {
-        self.batch = Some(batch);
-        self
+/// What one [`Sweep::run_fold`] call runs and what it carries along: the
+/// work plan (the whole grid, a cell `range`, or a sparse `missing` trial
+/// list), a snapshot monitor, and the cost table claims are shaped by. No
+/// seam changes what any trial computes — per-trial RNG streams derive from
+/// grid coordinates alone and results are routed by grid position — so a
+/// cell or trial is bit-identical whichever seams are attached.
+pub struct SweepHooks<'a, A> {
+    /// Run only the grid cells in `[lo, hi)` — the process-sharding seam:
+    /// each shard folds its cell range, and the per-cell accumulator states
+    /// merge back losslessly.
+    pub range: Option<CellRange>,
+    /// Run only the listed `(grid cell index, trials)` — the resume and
+    /// lease seam. Indices address the full `algorithms × ns` grid; returned
+    /// cells are in plan order. A plan names its own cells, so it cannot be
+    /// combined with `range`.
+    pub missing: Option<&'a [(usize, Vec<u32>)]>,
+    /// A snapshot sink called on the cadence from a dedicated thread with
+    /// clones of the in-flight accumulators (each taken under its cell lock
+    /// while workers keep claiming), plus once more with `finished: true`
+    /// after the workers join. Snapshots are read-only.
+    pub monitor: Option<(SnapshotCadence, &'a dyn SweepMonitor<A>)>,
+    /// Estimated per-trial cost of every cell of the **full** grid (same
+    /// order as `algorithms × ns`), e.g. from a
+    /// [`CostSpec`](crate::sched::CostSpec). Scheduling only: it sizes
+    /// tapered claims and starts the heaviest cells first. Any table —
+    /// including a wrong one — yields bit-identical results.
+    pub costs: Option<&'a [f64]>,
+}
+
+impl<'a, A> SweepHooks<'a, A> {
+    /// No seams attached: the plain full-grid run.
+    pub fn none() -> SweepHooks<'a, A> {
+        SweepHooks::default()
     }
 
-    /// Same policy restricted to the grid cells in `range`.
-    pub fn with_cells(mut self, range: CellRange) -> ExecPolicy {
-        self.cells = Some(range);
-        self
+    /// Only a cell-range restriction (the `repro shard` path).
+    pub fn range(range: Option<CellRange>) -> SweepHooks<'a, A> {
+        SweepHooks {
+            range,
+            ..SweepHooks::default()
+        }
     }
 }
 
-/// One aggregate cell: all trials of one `(algorithm, n)` pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cell<T> {
-    pub algorithm: AlgorithmKind,
-    pub n: u32,
-    pub trials: Vec<T>,
+impl<A> Default for SweepHooks<'_, A> {
+    fn default() -> Self {
+        SweepHooks {
+            range: None,
+            missing: None,
+            monitor: None,
+            costs: None,
+        }
+    }
 }
 
-/// The summarized cell type every collect-style consumer uses.
-pub type SweepCell = Cell<TrialSummary>;
+impl<A> Clone for SweepHooks<'_, A> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<A> Copy for SweepHooks<'_, A> {}
 
 /// One cell of a folded sweep: the accumulator state after every trial of
 /// one `(algorithm, n)` pair has been folded in.
@@ -420,8 +439,7 @@ pub struct FoldedCell<A> {
 /// A Cartesian `(algorithm × n × trial)` sweep over one simulator.
 ///
 /// Every trial derives its RNG from `(experiment tag, algorithm, n, trial)`,
-/// so the sweep's numbers are independent of thread count, batch size and
-/// scheduling.
+/// so the sweep's numbers are independent of thread count and scheduling.
 pub struct Sweep<S: Simulator> {
     /// RNG namespace; also names the experiment in outputs.
     pub experiment: &'static str,
@@ -430,7 +448,7 @@ pub struct Sweep<S: Simulator> {
     pub algorithms: Vec<AlgorithmKind>,
     pub ns: Vec<u32>,
     pub trials: u32,
-    /// Execution policy (threads / batch size / progress).
+    /// Execution policy (threads / progress).
     pub exec: ExecPolicy,
 }
 
@@ -481,48 +499,20 @@ impl<S: Simulator> Sweep<S> {
         }
     }
 
-    /// The streaming core: runs the grid with batched work claiming, maps
-    /// each raw output inside the worker, and folds it into its cell's
-    /// accumulator — still inside the worker. Nothing per-trial survives
-    /// beyond what the accumulator retains.
-    fn run_streamed<T, A, M, I>(&self, map: M, init: I) -> Vec<FoldedCell<A>>
-    where
-        A: Accumulator<T> + Send,
-        M: Fn(S::Output) -> T + Sync,
-        I: FnMut(AlgorithmKind, u32, u32) -> A,
-    {
-        self.run_streamed_core(map, init, None, None, None)
-    }
-
-    /// [`run_streamed`](Self::run_streamed), generalized along the two
-    /// seams checkpoint/resume needs:
+    /// Runs the grid — or the part of it `hooks` selects — converting each
+    /// raw output to `T` and folding it into its cell's accumulator, both
+    /// inside the worker; the conversion happens outside the cell lock.
+    /// Accumulators are built by `init(algorithm, n, trials)`; nothing
+    /// per-trial survives beyond what they retain. Cells come back in grid
+    /// order (plan order for a `missing` plan).
     ///
-    /// * `missing` — a sparse work plan: only the listed
-    ///   `(grid cell index, trials)` execute (the resume path). `None` runs
-    ///   the dense grid, restricted by `ExecPolicy::cells` as before.
-    ///   Per-trial RNG derivation is untouched either way, so a sparse run's
-    ///   values are bit-identical to the same trials of a full run.
-    /// * `monitor` — a snapshot thread that periodically clones the in-flight
-    ///   accumulators (each under its own cell lock — workers keep claiming
-    ///   batches) and hands them to the sink; one final snapshot is
-    ///   guaranteed after the workers join.
-    /// * `costs` — estimated per-*trial* cost of every cell of the **full**
-    ///   grid (`algorithms × ns`, same order). Feeds scheduling only: claim
-    ///   tapering and heaviest-cell-first ordering. Results are routed by
-    ///   grid position and trial RNG streams derive from grid coordinates,
-    ///   so any cost table — including a wrong one — leaves every output
-    ///   bit unchanged.
-    fn run_streamed_core<T, A, M, I>(
-        &self,
-        map: M,
-        mut init: I,
-        missing: Option<&[(usize, Vec<u32>)]>,
-        monitor: Option<MonitorHook<'_, A>>,
-        costs: Option<&[f64]>,
-    ) -> Vec<FoldedCell<A>>
+    /// Fold into [`Slots`] to keep every trial's value, and pick `T` as the
+    /// backend's raw `Output` or as
+    /// [`TrialSummary`](crate::summary::TrialSummary).
+    pub fn run_fold<T, A, I>(&self, mut init: I, hooks: &SweepHooks<'_, A>) -> Vec<FoldedCell<A>>
     where
-        A: Accumulator<T> + Send,
-        M: Fn(S::Output) -> T + Sync,
+        T: From<S::Output>,
+        A: Accumulator<T> + Clone + Send,
         I: FnMut(AlgorithmKind, u32, u32) -> A,
     {
         self.validate_grid();
@@ -533,7 +523,7 @@ impl<S: Simulator> Sweep<S> {
             .iter()
             .flat_map(|&alg| self.ns.iter().map(move |&n| (alg, n)))
             .collect();
-        if let Some(costs) = costs {
+        if let Some(costs) = hooks.costs {
             assert!(
                 costs.len() == full_grid.len(),
                 "cost table has {} entries for a {}-cell grid",
@@ -541,41 +531,29 @@ impl<S: Simulator> Sweep<S> {
                 full_grid.len()
             );
         }
-        // Junk estimates (NaN, ±∞, negatives) count as zero weight so the
-        // heaviest-first comparator below stays a total order.
-        let sane = |c: f64| if c.is_finite() && c > 0.0 { c } else { 0.0 };
-        // Resolve the work plan: which cells exist, how a claimed work index
-        // maps onto (cell, trial), and what each local cell's trials are
-        // estimated to cost.
-        type SparseItems = Option<Vec<(usize, u32)>>;
-        let (grid, mut sparse, cell_costs): (
-            Vec<(AlgorithmKind, u32)>,
-            SparseItems,
-            Option<Vec<f64>>,
-        ) = match missing {
+        // Resolve the work plan: which full-grid cells this run folds (its
+        // local cells, in order) and, for a sparse plan, the
+        // `(local cell, trial)` work items.
+        let (cells, mut sparse): (Vec<usize>, Option<Vec<(usize, u32)>>) = match hooks.missing {
             None => {
-                let mut grid = full_grid;
-                let mut cell_costs =
-                    costs.map(|c| c.iter().map(|&c| sane(c)).collect::<Vec<f64>>());
-                if let Some(range) = self.exec.cells {
-                    assert!(
-                        range.lo <= range.hi && range.hi <= grid.len(),
-                        "cell range [{}, {}) outside the {}-cell grid",
-                        range.lo,
-                        range.hi,
-                        grid.len()
-                    );
-                    grid = grid[range.lo..range.hi].to_vec();
-                    cell_costs = cell_costs.map(|c| c[range.lo..range.hi].to_vec());
-                }
-                (grid, None, cell_costs)
+                let range = hooks.range.unwrap_or(CellRange {
+                    lo: 0,
+                    hi: full_grid.len(),
+                });
+                assert!(
+                    range.lo <= range.hi && range.hi <= full_grid.len(),
+                    "cell range [{}, {}) outside the {}-cell grid",
+                    range.lo,
+                    range.hi,
+                    full_grid.len()
+                );
+                ((range.lo..range.hi).collect(), None)
             }
             Some(missing) => {
                 assert!(
-                    self.exec.cells.is_none(),
-                    "a sparse work plan already names its cells; drop ExecPolicy::cells"
+                    hooks.range.is_none(),
+                    "a sparse work plan already names its cells; drop the cell range"
                 );
-                let mut grid = Vec::with_capacity(missing.len());
                 let mut items = Vec::new();
                 for (local, (cell_index, cell_trials)) in missing.iter().enumerate() {
                     assert!(
@@ -583,7 +561,6 @@ impl<S: Simulator> Sweep<S> {
                         "missing-work cell {cell_index} outside the {}-cell grid",
                         full_grid.len()
                     );
-                    grid.push(full_grid[*cell_index]);
                     for &trial in cell_trials {
                         assert!(
                             (trial as usize) < trials,
@@ -592,43 +569,43 @@ impl<S: Simulator> Sweep<S> {
                         items.push((local, trial));
                     }
                 }
-                let cell_costs = costs.map(|c| {
-                    missing
-                        .iter()
-                        .map(|(cell_index, _)| sane(c[*cell_index]))
-                        .collect()
-                });
-                (grid, Some(items), cell_costs)
+                (missing.iter().map(|(cell, _)| *cell).collect(), Some(items))
             }
         };
-        // Execution order over local cells: identity under fixed batches
-        // (`exec.batch` pinned) or without estimates; heaviest cells first
-        // when tapering with a cost table, so the long-pole cells start
-        // while plenty of light work remains to backfill the tail. Results
-        // are index-routed, so the order is invisible in the output.
-        let taper = self.exec.batch.is_none();
-        let order: Vec<usize> = {
-            let mut order: Vec<usize> = (0..grid.len()).collect();
-            if taper {
-                if let Some(cost) = &cell_costs {
-                    let heaviest_first =
-                        |a: f64, b: f64| b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal);
-                    order.sort_by(|&a, &b| heaviest_first(cost[a], cost[b]));
-                    if let Some(items) = &mut sparse {
-                        items.sort_by(|a, b| heaviest_first(cost[a.0], cost[b.0]));
-                    }
-                }
+        let grid: Vec<(AlgorithmKind, u32)> = cells.iter().map(|&cell| full_grid[cell]).collect();
+        // Each local cell's estimated per-trial cost. Junk estimates (NaN,
+        // ±∞, negatives) count as zero weight so the heaviest-first
+        // comparator below stays a total order.
+        let sane = |c: f64| if c.is_finite() && c > 0.0 { c } else { 0.0 };
+        let cell_costs: Option<Vec<f64>> = hooks
+            .costs
+            .map(|costs| cells.iter().map(|&cell| sane(costs[cell])).collect());
+        // Execution order over local cells: identity without estimates;
+        // heaviest cells first with a cost table, so the long-pole cells
+        // start while plenty of light work remains to backfill the tail.
+        // Results are index-routed, so the order is invisible in the output.
+        let mut order: Vec<usize> = (0..grid.len()).collect();
+        if let Some(cost) = &cell_costs {
+            let heaviest_first =
+                |a: f64, b: f64| b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal);
+            order.sort_by(|&a, &b| heaviest_first(cost[a], cost[b]));
+            if let Some(items) = &mut sparse {
+                items.sort_by(|a, b| heaviest_first(cost[a.0], cost[b.0]));
             }
-            order
-        };
+        }
         let accumulators: Vec<Mutex<A>> = grid
             .iter()
             .map(|&(alg, n)| Mutex::new(init(alg, n, self.trials)))
             .collect();
-        let total = match &sparse {
-            None => grid.len() * trials,
-            Some(items) => items.len(),
+        // The claim plan: one run per cell in execution order (consecutive
+        // sparse items of one cell coalesce the same way); without
+        // estimates every trial weighs the same.
+        let unit = |cell: usize| cell_costs.as_ref().map_or(1.0, |c| c[cell]);
+        let schedule = match &sparse {
+            None => TaperSchedule::new(order.iter().map(|&cell| (unit(cell), trials))),
+            Some(items) => TaperSchedule::new(items.iter().map(|&(cell, _)| (unit(cell), 1))),
         };
+        let total = schedule.len();
         if total > 0 {
             // Cap the worker count at the machine's parallelism: results are
             // schedule-invariant, so workers beyond physical cores can only
@@ -638,23 +615,6 @@ impl<S: Simulator> Sweep<S> {
                 .threads
                 .unwrap_or_else(default_threads)
                 .min(default_threads());
-            // Tapered claims need a per-work-item cost prefix in *execution*
-            // order; without estimates every item weighs the same and the
-            // taper degenerates to pure remaining/workers sizing.
-            let schedule: Option<TaperSchedule> = taper.then(|| match (&sparse, &cell_costs) {
-                (None, Some(cost)) => {
-                    let mut item_costs = Vec::with_capacity(total);
-                    for &cell in &order {
-                        item_costs.extend(std::iter::repeat_n(cost[cell], trials));
-                    }
-                    TaperSchedule::new(&item_costs)
-                }
-                (Some(items), Some(cost)) => {
-                    let item_costs: Vec<f64> = items.iter().map(|&(cell, _)| cost[cell]).collect();
-                    TaperSchedule::new(&item_costs)
-                }
-                (_, None) => TaperSchedule::uniform(total),
-            });
             let progress = Progress::new(total, self.exec.progress);
             let base = self.config.clone();
             // The dense work item for global index g is (order[g / trials],
@@ -670,26 +630,16 @@ impl<S: Simulator> Sweep<S> {
                     let (alg, n) = grid[cell_index];
                     let config = S::with_algorithm(&base, alg);
                     let mut rng = trial_rng(tag, alg, n, trial);
-                    let value = map(S::run_with(&config, n, &mut rng, scratch));
+                    let value = T::from(S::run_with(&config, n, &mut rng, scratch));
                     lock(&accumulators[cell_index]).record(trial, value);
                     progress.tick();
                 }
             };
-            let run_workers = || match &schedule {
-                Some(sched) => parallel_for_tapered(sched, threads, S::Scratch::default, work_item),
-                None => parallel_for_batches(
-                    total,
-                    threads,
-                    self.exec
-                        .batch
-                        .expect("fixed-batch path requires exec.batch"),
-                    S::Scratch::default,
-                    work_item,
-                ),
-            };
-            match &monitor {
+            let run_workers =
+                || parallel_for_tapered(&schedule, threads, S::Scratch::default, work_item);
+            match hooks.monitor {
                 None => run_workers(),
-                Some(hook) => {
+                Some((cadence, sink)) => {
                     let stop = AtomicBool::new(false);
                     let started = Instant::now();
                     std::thread::scope(|scope| {
@@ -704,19 +654,17 @@ impl<S: Simulator> Sweep<S> {
                                 // finished snapshot.
                                 let stopping = stop.load(Ordering::Acquire);
                                 let done = progress.completed();
-                                if stopping
-                                    || hook.cadence.due(last_snap.elapsed(), done - last_done)
-                                {
+                                if stopping || cadence.due(last_snap.elapsed(), done - last_done) {
                                     let cells = grid
                                         .iter()
                                         .zip(&accumulators)
                                         .map(|(&(algorithm, n), acc)| FoldedCell {
                                             algorithm,
                                             n,
-                                            acc: (hook.clone_acc)(&lock(acc)),
+                                            acc: lock(acc).clone(),
                                         })
                                         .collect();
-                                    hook.sink.snapshot(SweepSnapshot {
+                                    sink.snapshot(SweepSnapshot {
                                         cells,
                                         completed_trials: done,
                                         total_trials: total,
@@ -749,97 +697,10 @@ impl<S: Simulator> Sweep<S> {
             })
             .collect()
     }
-
-    /// Runs the grid, folding each *raw* output into a per-cell accumulator
-    /// built by `init(algorithm, n, trials)`.
-    pub fn run_fold_raw<A, I>(&self, init: I) -> Vec<FoldedCell<A>>
-    where
-        A: Accumulator<S::Output> + Send,
-        I: FnMut(AlgorithmKind, u32, u32) -> A,
-    {
-        self.run_streamed(|output| output, init)
-    }
-
-    /// Runs the grid, mapping each raw output inside the worker thread
-    /// (large outputs are reduced before being collected).
-    pub fn run_mapped<T, F>(&self, map: F) -> Vec<Cell<T>>
-    where
-        T: Send,
-        F: Fn(S::Output) -> T + Sync,
-    {
-        self.run_streamed(map, |_, _, trials| Slots::new(trials))
-            .into_iter()
-            .map(|cell| Cell {
-                algorithm: cell.algorithm,
-                n: cell.n,
-                trials: cell.acc.into_vec(),
-            })
-            .collect()
-    }
-
-    /// Runs the grid, keeping each backend's raw output.
-    pub fn run_raw(&self) -> Vec<Cell<S::Output>> {
-        self.run_mapped(|output| output)
-    }
 }
 
-impl<S: Simulator> Sweep<S>
-where
-    TrialSummary: From<S::Output>,
-{
-    /// Runs the grid and summarizes every trial.
-    pub fn run(&self) -> Vec<SweepCell> {
-        self.run_mapped(TrialSummary::from)
-    }
-
-    /// Runs the grid, folding each trial's [`TrialSummary`] into a per-cell
-    /// accumulator built by `init(algorithm, n, trials)` — the streaming
-    /// path every figure-facing aggregate rides.
-    pub fn run_fold<A, I>(&self, init: I) -> Vec<FoldedCell<A>>
-    where
-        A: Accumulator<TrialSummary> + Send,
-        I: FnMut(AlgorithmKind, u32, u32) -> A,
-    {
-        self.run_streamed(TrialSummary::from, init)
-    }
-
-    /// [`run_fold`](Self::run_fold) with the crash-safety seams attached:
-    ///
-    /// * `missing` — run only the listed `(grid cell index, trials)` instead
-    ///   of the dense grid (the resume path; indices address the full
-    ///   `algorithms × ns` grid and must not be combined with
-    ///   `ExecPolicy::cells`). Returned cells are in plan order. Per-trial
-    ///   values are bit-identical to the same trials of a full run.
-    /// * `monitor` — a snapshot sink called on `cadence` from a dedicated
-    ///   thread with clones of the in-flight accumulators, plus once more
-    ///   (with `finished: true`) after the workers join. Snapshots are
-    ///   read-only: results are unaffected by the monitor's presence.
-    /// * `costs` — estimated per-trial cost of every full-grid cell (same
-    ///   order as `algorithms × ns`), from the experiment's
-    ///   [`CostModel`](crate::sched::CostModel). Scheduling-only: drives
-    ///   claim tapering and heaviest-cell-first ordering; any table yields
-    ///   bit-identical results.
-    pub fn run_fold_monitored<A, I>(
-        &self,
-        init: I,
-        missing: Option<&[(usize, Vec<u32>)]>,
-        monitor: Option<(SnapshotCadence, &dyn SweepMonitor<A>)>,
-        costs: Option<&[f64]>,
-    ) -> Vec<FoldedCell<A>>
-    where
-        A: Accumulator<TrialSummary> + Clone + Send,
-        I: FnMut(AlgorithmKind, u32, u32) -> A,
-    {
-        let hook = monitor.map(|(cadence, sink)| MonitorHook {
-            cadence,
-            sink,
-            clone_acc: A::clone,
-        });
-        self.run_streamed_core(TrialSummary::from, init, missing, hook, costs)
-    }
-}
-
-/// Position-addressed slots: the accumulator behind the collect-style API.
+/// Position-addressed slots: the accumulator a caller folds into to keep
+/// every trial's value.
 /// Arrival order cannot matter because trial `t` lands in slot `t` — which
 /// also makes two disjoint partial fills mergeable without ambiguity.
 #[derive(Debug, Clone, PartialEq)]
@@ -899,14 +760,6 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Looks up one cell in a collect-style sweep result.
-pub fn cell<T>(cells: &[Cell<T>], alg: AlgorithmKind, n: u32) -> &Cell<T> {
-    cells
-        .iter()
-        .find(|c| c.algorithm == alg && c.n == n)
-        .unwrap_or_else(|| panic!("no cell for {alg} at n={n}"))
-}
-
 /// Looks up one cell in a folded sweep result.
 pub fn folded<A>(cells: &[FoldedCell<A>], alg: AlgorithmKind, n: u32) -> &FoldedCell<A> {
     cells
@@ -918,6 +771,7 @@ pub fn folded<A>(cells: &[FoldedCell<A>], alg: AlgorithmKind, n: u32) -> &Folded
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::TrialSummary;
     use contention_core::metrics::BatchMetrics;
     use rand::Rng;
 
@@ -979,6 +833,29 @@ mod tests {
         }
     }
 
+    /// Every trial's summary, per cell.
+    type Summaries = Slots<TrialSummary>;
+
+    fn summaries(
+        sweep: &Sweep<ToySim>,
+        hooks: &SweepHooks<'_, Summaries>,
+    ) -> Vec<FoldedCell<Summaries>> {
+        sweep.run_fold(|_, _, trials| Slots::new(trials), hooks)
+    }
+
+    fn cw_sums(sweep: &Sweep<ToySim>, hooks: &SweepHooks<'_, CwSum>) -> Vec<FoldedCell<CwSum>> {
+        sweep.run_fold(|_, _, _| CwSum::default(), hooks)
+    }
+
+    /// Cost tables of every shape the scheduler must tolerate: none,
+    /// ascending and descending `n log n`-style estimates, and junk.
+    const COST_TABLES: [Option<[f64; 6]>; 4] = [
+        None,
+        Some([11.6, 33.2, 86.4, 11.6, 33.2, 86.4]),
+        Some([86.4, 33.2, 11.6, 86.4, 33.2, 11.6]),
+        Some([f64::NAN, -1.0, f64::INFINITY, 0.0, 5.0, f64::NEG_INFINITY]),
+    ];
+
     /// Order-independent fold: exact count and integer sum of cw_slots.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     struct CwSum {
@@ -995,37 +872,57 @@ mod tests {
 
     #[test]
     fn grid_is_complete_and_cell_lookup_works() {
-        let cells = toy_sweep(ExecPolicy::threads(2)).run();
+        let cells = summaries(&toy_sweep(ExecPolicy::threads(2)), &SweepHooks::none());
         assert_eq!(cells.len(), 6);
-        assert!(cells.iter().all(|c| c.trials.len() == 4));
-        assert_eq!(cell(&cells, AlgorithmKind::Sawtooth, 20).n, 20);
+        assert!(cells.iter().all(|c| c.acc.filled() == 4));
+        assert_eq!(folded(&cells, AlgorithmKind::Sawtooth, 20).n, 20);
     }
 
     #[test]
-    fn results_are_independent_of_thread_count_and_batch_size() {
-        let golden = toy_sweep(ExecPolicy::threads(1).with_batch(1)).run();
-        for threads in [1usize, 7] {
-            for batch in [1usize, 5, 1024] {
-                let got = toy_sweep(ExecPolicy::threads(threads).with_batch(batch)).run();
+    fn results_are_independent_of_thread_count_and_cost_table() {
+        // The oracle: a plain trial loop in grid order, no scheduler.
+        let sweep = toy_sweep(ExecPolicy::threads(1));
+        let oracle: Vec<Vec<TrialSummary>> = sweep
+            .algorithms
+            .iter()
+            .flat_map(|&alg| sweep.ns.iter().map(move |&n| (alg, n)))
+            .map(|(alg, n)| {
+                let config = ToySim::with_algorithm(&sweep.config, alg);
+                (0..sweep.trials)
+                    .map(|t| run_trial::<ToySim>(sweep.experiment, &config, n, t).into())
+                    .collect()
+            })
+            .collect();
+        for threads in [1usize, 2, 7] {
+            for costs in &COST_TABLES {
+                let hooks = SweepHooks {
+                    costs: costs.as_ref().map(|c| &c[..]),
+                    ..SweepHooks::none()
+                };
+                let got: Vec<Vec<TrialSummary>> =
+                    summaries(&toy_sweep(ExecPolicy::threads(threads)), &hooks)
+                        .into_iter()
+                        .map(|c| c.acc.into_vec())
+                        .collect();
                 assert_eq!(
-                    golden, got,
-                    "threads={threads} batch={batch} changed results"
+                    oracle, got,
+                    "threads={threads} costs={costs:?} changed results"
                 );
             }
         }
     }
 
     #[test]
-    fn run_fold_agrees_with_run() {
-        let cells = toy_sweep(ExecPolicy::threads(2)).run();
-        let folded_cells =
-            toy_sweep(ExecPolicy::threads(7).with_batch(3)).run_fold(|_, _, _| CwSum::default());
+    fn folding_agrees_with_collecting() {
+        let cells = summaries(&toy_sweep(ExecPolicy::threads(2)), &SweepHooks::none());
+        let folded_cells = cw_sums(&toy_sweep(ExecPolicy::threads(7)), &SweepHooks::none());
         assert_eq!(cells.len(), folded_cells.len());
-        for (c, f) in cells.iter().zip(&folded_cells) {
+        for (c, f) in cells.into_iter().zip(&folded_cells) {
             assert_eq!((c.algorithm, c.n), (f.algorithm, f.n));
+            let trials = c.acc.into_vec();
             let expect = CwSum {
-                count: c.trials.len() as u32,
-                slots: c.trials.iter().map(|t| t.cw_slots as u64).sum(),
+                count: trials.len() as u32,
+                slots: trials.iter().map(|t| t.cw_slots as u64).sum(),
             };
             assert_eq!(f.acc, expect, "fold diverged at {}/{}", c.algorithm, c.n);
         }
@@ -1037,7 +934,7 @@ mod tests {
         // Split the toy grid's work into two disjoint sparse plans; together
         // they must reproduce the dense fold exactly (same per-trial RNG),
         // and each plan alone only touches its listed cells/trials.
-        let dense = toy_sweep(ExecPolicy::threads(2)).run_fold(|_, _, _| CwSum::default());
+        let dense = cw_sums(&toy_sweep(ExecPolicy::threads(2)), &SweepHooks::none());
         let first: Vec<(usize, Vec<u32>)> = vec![(0, vec![0, 2]), (3, vec![1])];
         let rest: Vec<(usize, Vec<u32>)> = (0..6)
             .map(|cell| {
@@ -1051,12 +948,11 @@ mod tests {
             .collect();
         let mut merged = vec![CwSum::default(); 6];
         for plan in [&first, &rest] {
-            let cells = toy_sweep(ExecPolicy::threads(3).with_batch(2)).run_fold_monitored(
-                |_, _, _| CwSum::default(),
-                Some(plan),
-                None,
-                None,
-            );
+            let hooks = SweepHooks {
+                missing: Some(plan),
+                ..SweepHooks::none()
+            };
+            let cells = cw_sums(&toy_sweep(ExecPolicy::threads(3)), &hooks);
             assert_eq!(cells.len(), plan.len());
             for ((cell_index, trials), cell) in plan.iter().zip(&cells) {
                 assert_eq!(
@@ -1080,40 +976,32 @@ mod tests {
         // Skewed estimates with junk entries mixed in: heaviest-first order
         // and tapered claim sizes change, the fold must not — across thread
         // counts, with and without the cost table.
-        let golden =
-            toy_sweep(ExecPolicy::threads(1).with_batch(1)).run_fold(|_, _, _| CwSum::default());
-        let costs = [f64::NAN, 0.0, 5.0, 1e9, 1.0, -2.0];
+        let golden = cw_sums(&toy_sweep(ExecPolicy::threads(1)), &SweepHooks::none());
         for threads in [1usize, 2, 8] {
-            let costed = toy_sweep(ExecPolicy::threads(threads)).run_fold_monitored(
-                |_, _, _| CwSum::default(),
-                None,
-                None,
-                Some(&costs),
-            );
-            assert_eq!(golden, costed, "threads={threads} with costs");
-            let uncosted = toy_sweep(ExecPolicy::threads(threads)).run_fold_monitored(
-                |_, _, _| CwSum::default(),
-                None,
-                None,
-                None,
-            );
-            assert_eq!(golden, uncosted, "threads={threads} without costs");
+            for costs in &COST_TABLES {
+                let hooks = SweepHooks {
+                    costs: costs.as_ref().map(|c| &c[..]),
+                    ..SweepHooks::none()
+                };
+                let got = cw_sums(&toy_sweep(ExecPolicy::threads(threads)), &hooks);
+                assert_eq!(golden, got, "threads={threads} costs={costs:?}");
+            }
         }
     }
 
     #[test]
     fn cost_table_respects_cell_ranges_and_sparse_plans() {
-        let dense = toy_sweep(ExecPolicy::threads(1)).run_fold(|_, _, _| CwSum::default());
+        let dense = cw_sums(&toy_sweep(ExecPolicy::threads(1)), &SweepHooks::none());
         let costs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
         // A cell-range run slices the full-grid cost table along with the
         // grid.
-        let mut exec = ExecPolicy::threads(2);
-        exec.cells = Some(CellRange { lo: 2, hi: 5 });
-        let ranged = toy_sweep(exec).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            None,
-            None,
-            Some(&costs),
+        let ranged = cw_sums(
+            &toy_sweep(ExecPolicy::threads(2)),
+            &SweepHooks {
+                range: Some(CellRange { lo: 2, hi: 5 }),
+                costs: Some(&costs),
+                ..SweepHooks::none()
+            },
         );
         assert_eq!(ranged.len(), 3);
         for (got, want) in ranged.iter().zip(&dense[2..5]) {
@@ -1121,31 +1009,41 @@ mod tests {
         }
         // A sparse plan draws each item's weight from its full-grid cell.
         let plan: Vec<(usize, Vec<u32>)> = vec![(1, vec![0, 3]), (5, vec![2]), (0, vec![1])];
-        let sparse = toy_sweep(ExecPolicy::threads(2)).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            Some(&plan),
-            None,
-            Some(&costs),
+        let sparse = |costs: Option<&[f64]>| {
+            let hooks = SweepHooks {
+                missing: Some(&plan),
+                costs,
+                ..SweepHooks::none()
+            };
+            cw_sums(&toy_sweep(ExecPolicy::threads(2)), &hooks)
+        };
+        assert_eq!(
+            sparse(Some(&costs)),
+            sparse(None),
+            "costs changed a sparse plan's results"
         );
-        let plain = toy_sweep(ExecPolicy::threads(2)).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            Some(&plan),
-            None,
-            None,
-        );
-        assert_eq!(sparse, plain, "costs changed a sparse plan's results");
     }
 
     #[test]
     #[should_panic(expected = "cost table has 2 entries")]
     fn wrong_cost_table_length_panics() {
-        let costs = [1.0, 2.0];
-        let _ = toy_sweep(ExecPolicy::threads(1)).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            None,
-            None,
-            Some(&costs),
-        );
+        let hooks = SweepHooks {
+            costs: Some(&[1.0, 2.0]),
+            ..SweepHooks::none()
+        };
+        let _ = cw_sums(&toy_sweep(ExecPolicy::threads(1)), &hooks);
+    }
+
+    #[test]
+    #[should_panic(expected = "drop the cell range")]
+    fn sparse_plan_with_a_cell_range_panics() {
+        let plan: Vec<(usize, Vec<u32>)> = vec![(0, vec![0])];
+        let hooks = SweepHooks {
+            range: Some(CellRange { lo: 0, hi: 1 }),
+            missing: Some(&plan),
+            ..SweepHooks::none()
+        };
+        let _ = cw_sums(&toy_sweep(ExecPolicy::threads(1)), &hooks);
     }
 
     #[test]
@@ -1321,14 +1219,16 @@ mod tests {
 
     #[test]
     fn monitored_run_takes_a_final_snapshot_and_leaves_results_unchanged() {
-        let plain = toy_sweep(ExecPolicy::threads(2)).run_fold(|_, _, _| CwSum::default());
+        let plain = cw_sums(&toy_sweep(ExecPolicy::threads(2)), &SweepHooks::none());
         let monitor = RecordingMonitor::default();
-        let monitored = toy_sweep(ExecPolicy::threads(2)).run_fold_monitored(
-            |_, _, _| CwSum::default(),
-            None,
-            Some((SnapshotCadence::trials(1), &monitor)),
-            None,
-        );
+        let hooks = SweepHooks {
+            monitor: Some((
+                SnapshotCadence::trials(1),
+                &monitor as &dyn SweepMonitor<CwSum>,
+            )),
+            ..SweepHooks::none()
+        };
+        let monitored = cw_sums(&toy_sweep(ExecPolicy::threads(2)), &hooks);
         assert_eq!(plain, monitored, "attaching a monitor changed the fold");
         let snaps = monitor.snaps.into_inner().unwrap();
         assert!(!snaps.is_empty());
@@ -1343,15 +1243,19 @@ mod tests {
 
     #[test]
     fn fold_init_sees_cell_coordinates() {
-        let folded_cells = toy_sweep(ExecPolicy::threads(1)).run_fold_raw(|alg, n, trials| {
-            assert_eq!(trials, 4);
-            assert!(n == 5 || n == 10 || n == 20);
-            assert!(alg == AlgorithmKind::Beb || alg == AlgorithmKind::Sawtooth);
-            CountRaw(0)
-        });
+        let folded_cells = toy_sweep(ExecPolicy::threads(1)).run_fold(
+            |alg, n, trials| {
+                assert_eq!(trials, 4);
+                assert!(n == 5 || n == 10 || n == 20);
+                assert!(alg == AlgorithmKind::Beb || alg == AlgorithmKind::Sawtooth);
+                CountRaw(0)
+            },
+            &SweepHooks::none(),
+        );
         assert!(folded_cells.iter().all(|c| c.acc.0 == 4));
     }
 
+    #[derive(Clone)]
     struct CountRaw(u32);
     impl Accumulator<BatchMetrics> for CountRaw {
         fn record(&mut self, _trial: u32, _value: BatchMetrics) {
@@ -1359,13 +1263,18 @@ mod tests {
         }
     }
 
+    /// Every trial's raw output, per cell.
+    fn raw(sweep: &Sweep<ToySim>) -> Vec<FoldedCell<Slots<BatchMetrics>>> {
+        sweep.run_fold(|_, _, trials| Slots::new(trials), &SweepHooks::none())
+    }
+
     #[test]
-    fn run_raw_and_run_agree() {
-        let raw = toy_sweep(ExecPolicy::threads(2)).run_raw();
-        let summarized = toy_sweep(ExecPolicy::threads(2)).run();
-        for (r, s) in raw.iter().zip(&summarized) {
-            for (m, t) in r.trials.iter().zip(&s.trials) {
-                assert_eq!(TrialSummary::from_metrics(m), *t);
+    fn raw_and_summarized_folds_agree() {
+        let raw = raw(&toy_sweep(ExecPolicy::threads(2)));
+        let summarized = summaries(&toy_sweep(ExecPolicy::threads(2)), &SweepHooks::none());
+        for (r, s) in raw.into_iter().zip(summarized) {
+            for (m, t) in r.acc.into_vec().iter().zip(s.acc.into_vec()) {
+                assert_eq!(TrialSummary::from_metrics(m), t);
             }
         }
     }
@@ -1374,30 +1283,30 @@ mod tests {
     fn run_trial_matches_the_sweep_stream() {
         // The single-trial entry point must hit the same RNG stream the
         // sweep derives, so bench trials and sweep trials are interchangeable.
-        let sweep = toy_sweep(ExecPolicy::threads(1));
-        let cells = sweep.run_raw();
+        let cells = raw(&toy_sweep(ExecPolicy::threads(1)));
         let config = ToyConfig {
             algorithm: AlgorithmKind::Beb,
             scale: 3,
         };
         let lone = run_trial::<ToySim>("engine-test", &config, 10, 2);
-        assert_eq!(cell(&cells, AlgorithmKind::Beb, 10).trials[2], lone);
+        let cell = folded(&cells, AlgorithmKind::Beb, 10).acc.clone();
+        assert_eq!(cell.into_vec()[2], lone);
     }
 
     #[test]
     fn zero_trials_yields_empty_cells() {
         let mut sweep = toy_sweep(ExecPolicy::threads(2));
         sweep.trials = 0;
-        let cells = sweep.run();
+        let cells = summaries(&sweep, &SweepHooks::none());
         assert_eq!(cells.len(), 6);
-        assert!(cells.iter().all(|c| c.trials.is_empty()));
+        assert!(cells.into_iter().all(|c| c.acc.into_vec().is_empty()));
     }
 
     #[test]
     #[should_panic(expected = "no cell")]
     fn missing_cell_panics() {
-        let cells: Vec<SweepCell> = Vec::new();
-        let _ = cell(&cells, AlgorithmKind::Beb, 10);
+        let cells: Vec<FoldedCell<CwSum>> = Vec::new();
+        let _ = folded(&cells, AlgorithmKind::Beb, 10);
     }
 
     #[test]
@@ -1405,7 +1314,7 @@ mod tests {
     fn duplicate_grid_entries_are_rejected() {
         let mut sweep = toy_sweep(ExecPolicy::threads(1));
         sweep.ns = vec![10, 10];
-        let _ = sweep.run();
+        let _ = cw_sums(&sweep, &SweepHooks::none());
     }
 
     #[test]
@@ -1413,7 +1322,7 @@ mod tests {
     fn duplicate_algorithms_are_rejected() {
         let mut sweep = toy_sweep(ExecPolicy::threads(1));
         sweep.algorithms = vec![AlgorithmKind::Beb, AlgorithmKind::Beb];
-        let _ = sweep.run();
+        let _ = cw_sums(&sweep, &SweepHooks::none());
     }
 
     /// `Default` bumps a global counter, so a test can count how many
@@ -1471,7 +1380,7 @@ mod tests {
             exec: ExecPolicy::threads(1),
         };
         let before = SCRATCH_BUILDS.load(std::sync::atomic::Ordering::SeqCst);
-        let cells = sweep.run();
+        let cells = sweep.run_fold(|_, _, _| CountRaw(0), &SweepHooks::none());
         let built = SCRATCH_BUILDS.load(std::sync::atomic::Ordering::SeqCst) - before;
         assert_eq!(cells.len(), 2);
         assert_eq!(built, 1, "32 sequential trials must share one arena");
@@ -1479,18 +1388,24 @@ mod tests {
 
     #[test]
     fn cell_range_runs_are_slices_of_the_full_grid() {
-        let full = toy_sweep(ExecPolicy::threads(2)).run();
+        let full = summaries(&toy_sweep(ExecPolicy::threads(2)), &SweepHooks::none());
         let cells = full.len();
         for of in [1usize, 2, 3, 7] {
-            let mut pieces: Vec<SweepCell> = Vec::new();
-            for index in 0..of {
-                let range = CellRange::shard(cells, index, of);
-                let exec = ExecPolicy::threads(2).with_batch(3).with_cells(range);
-                let part = toy_sweep(exec).run();
-                assert_eq!(part.len(), range.len());
-                pieces.extend(part);
+            for costs in &COST_TABLES {
+                let mut pieces = Vec::new();
+                for index in 0..of {
+                    let range = CellRange::shard(cells, index, of);
+                    let hooks = SweepHooks {
+                        range: Some(range),
+                        costs: costs.as_ref().map(|c| &c[..]),
+                        ..SweepHooks::none()
+                    };
+                    let part = summaries(&toy_sweep(ExecPolicy::threads(2)), &hooks);
+                    assert_eq!(part.len(), range.len());
+                    pieces.extend(part);
+                }
+                assert_eq!(pieces, full, "sharding {of} ways changed results");
             }
-            assert_eq!(pieces, full, "sharding {of} ways changed results");
         }
     }
 
@@ -1512,8 +1427,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the")]
     fn out_of_bounds_cell_range_panics() {
-        let exec = ExecPolicy::threads(1).with_cells(CellRange { lo: 0, hi: 99 });
-        let _ = toy_sweep(exec).run();
+        let hooks = SweepHooks::range(Some(CellRange { lo: 0, hi: 99 }));
+        let _ = cw_sums(&toy_sweep(ExecPolicy::threads(1)), &hooks);
     }
 
     #[test]
@@ -1549,7 +1464,10 @@ mod tests {
 
     #[test]
     fn zero_threads_is_clamped_to_sequential() {
-        let cells = toy_sweep(ExecPolicy::threads(0)).run();
-        assert_eq!(cells, toy_sweep(ExecPolicy::threads(1)).run());
+        let cells = summaries(&toy_sweep(ExecPolicy::threads(0)), &SweepHooks::none());
+        assert_eq!(
+            cells,
+            summaries(&toy_sweep(ExecPolicy::threads(1)), &SweepHooks::none())
+        );
     }
 }

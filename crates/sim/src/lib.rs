@@ -7,10 +7,10 @@
 //!   cancellation (needed for backoff timers that freeze when the medium
 //!   goes busy).
 //! * [`parallel`] — a deterministic parallel executor; workers claim
-//!   contiguous index ranges from one atomic cursor — fixed batches or
-//!   cost-tapered (guided self-scheduling) claims via
-//!   [`parallel::TaperSchedule`] — and results are routed by index, so
-//!   every number is independent of thread scheduling and claim sizing.
+//!   contiguous index ranges from one atomic cursor in cost-tapered (guided
+//!   self-scheduling) claims planned by [`parallel::TaperSchedule`], and
+//!   results are routed by index, so every number is independent of thread
+//!   scheduling and claim sizing.
 //! * [`pool`] — the persistent worker pool the executors borrow threads
 //!   from, eliminating per-sub-sweep spawn/join overhead across the many
 //!   sweeps of one figure run (with a scoped-thread fallback).
@@ -20,8 +20,10 @@
 //! * [`engine`] — the generic sweep engine: the [`engine::Simulator`] trait
 //!   every backend implements, the canonical per-trial RNG derivation, the
 //!   [`engine::Accumulator`] streaming-fold seam, and the
-//!   thread-count-independent [`engine::Sweep`] grid runner with its
-//!   [`engine::ExecPolicy`] (threads / batch / progress).
+//!   thread-count-independent [`engine::Sweep`] grid runner: one entry
+//!   point, [`engine::Sweep::run_fold`], under an [`engine::ExecPolicy`]
+//!   (threads / progress) with [`engine::SweepHooks`] (work plan, monitor,
+//!   cost table).
 //! * [`monitor`] — the live-observation seam: [`monitor::SnapshotCadence`],
 //!   [`monitor::SweepSnapshot`], and the [`monitor::SweepMonitor`] sink a
 //!   checkpoint writer attaches to an in-flight fold run.
@@ -40,11 +42,11 @@ pub mod sched;
 pub mod summary;
 
 pub use engine::{
-    cell, folded, run_trial, Accumulator, Cell, CellRange, ExecPolicy, FoldedCell,
-    MergeableAccumulator, Simulator, Slots, Sweep, SweepCell,
+    folded, run_trial, Accumulator, CellRange, ExecPolicy, FoldedCell, MergeableAccumulator,
+    Simulator, Slots, Sweep, SweepHooks,
 };
 pub use event::{EventQueue, EventToken};
 pub use monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
-pub use parallel::{auto_batch, parallel_for_batches, parallel_for_tapered, TaperSchedule};
+pub use parallel::{parallel_for_tapered, TaperSchedule};
 pub use sched::{CalibratedCost, CostModel, CostSpec};
 pub use summary::{Metric, TrialSummary};

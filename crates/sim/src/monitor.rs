@@ -4,7 +4,7 @@
 //! from zero. The engine therefore lets a caller attach a [`SweepMonitor`]
 //! to a fold run: a dedicated snapshot thread wakes on a [`SnapshotCadence`]
 //! (wall time and/or completed trials), clones the per-cell accumulator
-//! state **off the fold seam** — workers keep claiming batches; only a
+//! state **off the fold seam** — workers keep claiming trials; only a
 //! worker recording into the one cell currently being cloned briefly waits
 //! on that cell's lock — and hands the clone to the monitor as a
 //! [`SweepSnapshot`]. The monitor side (in `contention-experiments`) turns
@@ -12,8 +12,8 @@
 //! `metrics.json` sidecar.
 //!
 //! Snapshots are read-only observations: they can never change a single bit
-//! of the sweep's results, so determinism across thread counts and batch
-//! sizes is untouched. The state they capture is a *ragged cut* — each cell
+//! of the sweep's results, so determinism across thread counts and claim
+//! schedules is untouched. The state they capture is a *ragged cut* — each cell
 //! is internally consistent (cloned under its lock, and a trial's metrics
 //! are recorded atomically under that lock), but cells are cloned one after
 //! another while workers race ahead. That is exactly what the
@@ -66,9 +66,9 @@ impl SnapshotCadence {
 pub struct SweepSnapshot<A> {
     /// Clones of every accumulator the run is folding into, in grid order —
     /// the whole (range-restricted) grid for a full run, only the re-run
-    /// cells for a resume ([`Sweep::run_fold_monitored`]'s `missing` plan).
+    /// cells for a resume (the [`SweepHooks::missing`] plan).
     ///
-    /// [`Sweep::run_fold_monitored`]: crate::engine::Sweep::run_fold_monitored
+    /// [`SweepHooks::missing`]: crate::engine::SweepHooks::missing
     pub cells: Vec<FoldedCell<A>>,
     /// Trials completed *by this run* at capture time.
     pub completed_trials: usize,
@@ -87,7 +87,7 @@ pub struct SweepSnapshot<A> {
 /// A sink for in-flight sweep state, called from the snapshot thread.
 ///
 /// Implementations must tolerate being called at any moment between (and
-/// once after) worker batches, and should not panic: a failing sink would
+/// once after) worker claims, and should not panic: a failing sink would
 /// tear down the whole sweep. I/O-backed monitors (checkpoint writers)
 /// swallow and report their own errors instead of propagating them.
 pub trait SweepMonitor<A>: Sync {

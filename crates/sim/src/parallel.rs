@@ -1,100 +1,126 @@
 //! Deterministic parallel execution of independent work items.
 //!
 //! The paper ran its sweeps on four 16-core Xeon nodes; here the same
-//! embarrassing parallelism is captured with `std::thread::scope` (stable
-//! since Rust 1.63, so no crossbeam dependency). Work is claimed in
-//! *batches*: a single atomic cursor hands each worker a contiguous index
-//! range, so claiming costs one atomic op per `batch` items instead of one
-//! per item, and nothing about the work list is materialized up front — the
-//! caller maps indices to work on the fly (the engine derives the whole
-//! `(algorithm, n, trial)` work item from the index arithmetically). Small
-//! batches give near-perfect load balance when item costs vary by orders of
-//! magnitude across `n` — exactly the shape of these sweeps; large batches
-//! amortize scheduling for cheap items. Either way the caller routes results
-//! by *index*, so output placement (and, because every trial derives its own
-//! RNG from its index, every number) is independent of scheduling, thread
-//! count and batch size.
+//! embarrassing parallelism runs on the persistent [`pool`](crate::pool)
+//! (or on scoped threads when the pool is taken). Workers claim contiguous
+//! index ranges from one atomic cursor, and nothing about the work list is
+//! materialized up front — the caller maps indices to work on the fly (the
+//! engine derives the whole `(algorithm, n, trial)` work item from the
+//! index arithmetically). Claims are *tapered* off the remaining estimated
+//! work ([`TaperSchedule`]): long contiguous claims early, shrinking to one
+//! item at the tail, which keeps load balanced when item costs vary by
+//! orders of magnitude across `n` — exactly the shape of these sweeps. The
+//! caller routes results by *index*, so output placement (and, because
+//! every trial derives its own RNG from its index, every number) is
+//! independent of scheduling, thread count and claim sizes.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default fixed batch size for callers that pin one (`--batch N` pins it
-/// explicitly; `None` now means tapered claiming instead): aim for ~32
-/// claims per worker, which keeps the cursor cold while preserving load
-/// balance when per-item cost varies by orders of magnitude; capped so one
-/// straggler batch can never serialize a large sweep.
-pub fn auto_batch(total: usize, threads: usize) -> usize {
-    (total / (threads.max(1) * 32)).clamp(1, 1024)
+/// A tapered (guided self-scheduling) claim plan over work items with known
+/// (estimated) per-item costs.
+///
+/// Fixed-size claims are a compromise tuned blind: big ones amortize cursor
+/// traffic but let one straggler claim of expensive items serialize the
+/// join; small ones balance load but pay per-claim overhead on cheap items.
+/// Tapering resolves the tension by sizing every claim off the *remaining*
+/// estimated work: a claim targets `remaining / (2 × workers)` worth of
+/// cost — large contiguous runs early (cheap scheduling), claims shrinking
+/// toward a single item at the tail (no straggler can hold the join for
+/// more than one item's cost beyond its peers). Costs are estimates and
+/// only shape claim boundaries; which items run, and what they compute, is
+/// untouched — so results stay bit-identical to any other schedule as long
+/// as the caller routes results by index.
+///
+/// The plan is stored per *run* of equal-cost items, never per item: a
+/// dense sweep is one run per grid cell, so a million-trial cell costs one
+/// entry and a claim is two binary searches over the runs.
+#[derive(Debug, Clone, Default)]
+pub struct TaperSchedule {
+    /// Runs of equal-cost items in execution order; neighbours differ in
+    /// cost.
+    runs: Vec<Run>,
+    /// Number of items planned.
+    len: usize,
+    /// Estimated cost of all items.
+    total: f64,
 }
 
-/// A tapered (guided self-scheduling) claim plan over `total` work items
-/// with known (estimated) per-item costs.
-///
-/// Fixed-size batches are a compromise tuned blind: big batches amortize
-/// cursor traffic but let one straggler batch of expensive items serialize
-/// the join; small batches balance load but pay per-claim overhead on cheap
-/// items. Tapering resolves the tension by sizing every claim off the
-/// *remaining* estimated work: a claim targets `remaining / (2 × workers)`
-/// worth of cost — large contiguous runs early (cheap scheduling), claims
-/// shrinking toward a single item at the tail (no straggler can hold the
-/// join for more than one item's cost beyond its peers). Costs are
-/// estimates and only shape claim boundaries; which items run, and what
-/// they compute, is untouched — so results stay bit-identical to any other
-/// schedule as long as the caller routes results by index.
-#[derive(Debug, Clone)]
-pub struct TaperSchedule {
-    /// Prefix sums of sanitized per-item costs; `prefix[i]` is the cost of
-    /// items `[0, i)`, so `len = prefix.len() - 1`.
-    prefix: Vec<f64>,
+/// The items from `start` up to the next run's start, each costing `unit`;
+/// `before` is the cost of every item ahead of `start`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: usize,
+    before: f64,
+    unit: f64,
 }
 
 impl TaperSchedule {
-    /// A plan over items with the given estimated costs, in execution
-    /// order. Non-finite or negative costs are treated as zero (they can
-    /// only mis-shape claim sizes, never break coverage: every claim takes
-    /// at least one item).
-    pub fn new(costs: &[f64]) -> TaperSchedule {
-        let mut prefix = Vec::with_capacity(costs.len() + 1);
-        let mut acc = 0.0f64;
-        prefix.push(0.0);
-        for &c in costs {
-            if c.is_finite() && c > 0.0 {
-                acc += c;
+    /// A plan over `(cost per item, item count)` runs, in execution order;
+    /// neighbouring runs of equal cost coalesce. Non-finite or negative
+    /// costs are treated as zero (they can only mis-shape claim sizes, never
+    /// break coverage: every claim takes at least one item).
+    pub fn new(runs: impl IntoIterator<Item = (f64, usize)>) -> TaperSchedule {
+        let mut sched = TaperSchedule::default();
+        for (cost, count) in runs {
+            if count == 0 {
+                continue;
             }
-            prefix.push(acc);
+            let unit = if cost.is_finite() && cost > 0.0 {
+                cost
+            } else {
+                0.0
+            };
+            if sched.runs.last().is_none_or(|run| run.unit != unit) {
+                sched.runs.push(Run {
+                    start: sched.len,
+                    before: sched.total,
+                    unit,
+                });
+            }
+            sched.len += count;
+            sched.total = sched.cost_before(sched.len);
         }
-        TaperSchedule { prefix }
-    }
-
-    /// A plan over `total` equal-cost items — what a sweep without a cost
-    /// model uses; tapering still beats fixed batches on the tail.
-    pub fn uniform(total: usize) -> TaperSchedule {
-        TaperSchedule {
-            prefix: (0..=total).map(|i| i as f64).collect(),
-        }
+        sched
     }
 
     /// Number of work items planned.
     pub fn len(&self) -> usize {
-        self.prefix.len() - 1
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
+    }
+
+    /// Estimated cost of items `[0, i)`, for a non-empty plan and
+    /// `i <= len`.
+    fn cost_before(&self, i: usize) -> f64 {
+        let run = self.runs[self.runs.partition_point(|run| run.start <= i) - 1];
+        run.before + (i - run.start) as f64 * run.unit
     }
 
     /// The exclusive end of a claim starting at `start`: enough items to
     /// cover `remaining cost / (2 × threads)`, always at least one.
     pub fn claim_end(&self, start: usize, threads: usize) -> usize {
-        let total = self.len();
-        debug_assert!(start < total);
-        let remaining = self.prefix[total] - self.prefix[start];
-        let goal = self.prefix[start] + remaining / (2 * threads.max(1)) as f64;
-        // First index whose prefix reaches the goal = one past the last
-        // item the claim needs. Zero-cost runs collapse to goal == start's
-        // prefix; the clamp keeps every claim non-empty and in range.
-        let end = self.prefix.partition_point(|&p| p < goal);
-        end.clamp(start + 1, total)
+        debug_assert!(start < self.len);
+        let at = self.cost_before(start);
+        let goal = at + (self.total - at) / (2 * threads.max(1)) as f64;
+        // The claim ends at the first index whose cost prefix reaches the
+        // goal. That index lies in the last run starting below the goal;
+        // zero-cost stretches collapse to goal == start's prefix, and the
+        // clamp keeps every claim non-empty and in range.
+        let next = self.runs.partition_point(|run| run.before < goal);
+        let Some(run) = next.checked_sub(1).map(|r| self.runs[r]) else {
+            return start + 1;
+        };
+        let count = self.runs.get(next).map_or(self.len, |next| next.start) - run.start;
+        // The first k with `before + k × unit ≥ goal`. This is exact
+        // wherever a per-item prefix sum would be (e.g. integer costs);
+        // elsewhere rounding can only nudge a claim boundary. A zero-cost
+        // last run divides to +∞ and saturates to its end.
+        let k = ((goal - run.before) / run.unit).ceil() as usize;
+        (run.start + k.min(count)).clamp(start + 1, self.len)
     }
 }
 
@@ -113,14 +139,19 @@ fn run_on_workers(threads: usize, body: &(dyn Fn() + Sync)) {
 }
 
 /// Runs `work` over every index of `0..sched.len()`, claimed in tapered
-/// (guided self-scheduling) contiguous ranges from an atomic cursor — the
-/// cost-aware counterpart of [`parallel_for_batches`], with the same
-/// routing contract: each index is visited exactly once, per-worker `state`
-/// is built once per worker, and the caller must route results by index.
+/// (guided self-scheduling) contiguous ranges from an atomic cursor on up
+/// to `threads` workers. Each index is visited exactly once, and the caller
+/// must route results by index.
 ///
-/// With `threads <= 1` the claims execute inline in order (identical claim
-/// boundaries, no atomics), so the taper path itself is exercised on every
-/// machine.
+/// Each worker owns a `state` built once by `init` and threaded through all
+/// of its claims — the engine parks per-trial scratch arenas there, so a
+/// million-trial sweep reuses `threads` arenas instead of allocating one per
+/// trial. Per-worker state cannot affect results: anything observable must
+/// be reset per item.
+///
+/// With `threads <= 1` the claims execute inline in order on one state (no
+/// atomics), which also gives a fixed claim order for profiling. A worker
+/// panic propagates to the caller after the join.
 pub fn parallel_for_tapered<W, I, F>(sched: &TaperSchedule, threads: usize, init: I, work: F)
 where
     I: Fn() -> W + Sync,
@@ -161,202 +192,14 @@ where
     run_on_workers(threads, &body);
 }
 
-/// Runs `work` over every contiguous batch of `0..total`, on up to
-/// `threads` workers claiming `batch`-sized ranges from an atomic cursor.
-///
-/// Each worker owns a `state` built once by `init` and threaded through all
-/// of its batches — the engine parks per-trial scratch arenas there, so a
-/// million-trial sweep reuses `threads` arenas instead of allocating one per
-/// trial. Per-worker state cannot affect results: the engine routes outputs
-/// by index, and anything observable must be reset per item.
-///
-/// Each index in `0..total` is visited exactly once; with `threads <= 1`
-/// the ranges are executed inline in order on a single state. A worker
-/// panic propagates when the scope joins.
-pub fn parallel_for_batches<W, I, F>(total: usize, threads: usize, batch: usize, init: I, work: F)
-where
-    I: Fn() -> W + Sync,
-    F: Fn(Range<usize>, &mut W) + Sync,
-{
-    if total == 0 {
-        return;
-    }
-    let threads = threads.max(1).min(total);
-    // Clamp to `total` so `start + batch` cannot overflow for any caller
-    // value (the CLI accepts arbitrary usize batches).
-    let batch = batch.clamp(1, total);
-    if threads == 1 {
-        let mut state = init();
-        let mut start = 0;
-        while start < total {
-            let end = (start + batch).min(total);
-            work(start..end, &mut state);
-            start = end;
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let body = || {
-        let mut state = init();
-        loop {
-            let start = next.fetch_add(batch, Ordering::Relaxed);
-            if start >= total {
-                break;
-            }
-            work(start..(start + batch).min(total), &mut state);
-        }
-    };
-    run_on_workers(threads, &body);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
     use std::sync::Mutex;
 
-    #[test]
-    fn batches_cover_every_index_exactly_once() {
-        for threads in [1usize, 2, 8] {
-            for batch in [1usize, 3, 16, 1024] {
-                let total = 1000;
-                let hits: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-                parallel_for_batches(
-                    total,
-                    threads,
-                    batch,
-                    || (),
-                    |range, _| {
-                        for i in range {
-                            hits[i].fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
-                );
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "threads={threads} batch={batch}: index visited != once"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn index_routed_results_are_schedule_independent() {
-        // The engine's usage pattern in miniature: derive work from the
-        // index, write the result at the index. Any schedule must produce
-        // the same output vector.
-        let compute = |i: usize| {
-            // Skewed cost to exercise load balancing.
-            let mut acc = i as u64;
-            for _ in 0..(i % 97) * 100 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            acc
-        };
-        let run = |threads: usize, batch: usize| -> Vec<u64> {
-            let out = Mutex::new(vec![0u64; 500]);
-            parallel_for_batches(
-                500,
-                threads,
-                batch,
-                || (),
-                |range, _| {
-                    let results: Vec<u64> = range.clone().map(compute).collect();
-                    let mut out = out.lock().unwrap();
-                    for (i, r) in range.zip(results) {
-                        out[i] = r;
-                    }
-                },
-            );
-            out.into_inner().unwrap()
-        };
-        let golden = run(1, 1);
-        for threads in [2usize, 8] {
-            for batch in [1usize, 7, 64] {
-                assert_eq!(
-                    golden,
-                    run(threads, batch),
-                    "threads={threads} batch={batch}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_path_runs_in_order() {
-        let seen = Mutex::new(Vec::new());
-        parallel_for_batches(
-            10,
-            1,
-            3,
-            || (),
-            |range, _| seen.lock().unwrap().extend(range),
-        );
-        assert_eq!(seen.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_total_is_a_noop() {
-        parallel_for_batches(0, 4, 16, || (), |_, _| panic!("no work expected"));
-    }
-
-    #[test]
-    fn batch_zero_is_clamped() {
-        let count = AtomicUsize::new(0);
-        parallel_for_batches(
-            10,
-            2,
-            0,
-            || (),
-            |range, _| {
-                count.fetch_add(range.len(), Ordering::Relaxed);
-            },
-        );
-        assert_eq!(count.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn huge_batch_does_not_overflow() {
-        for threads in [1usize, 4] {
-            let count = AtomicUsize::new(0);
-            parallel_for_batches(
-                10,
-                threads,
-                usize::MAX,
-                || (),
-                |range, _| {
-                    count.fetch_add(range.len(), Ordering::Relaxed);
-                },
-            );
-            assert_eq!(count.load(Ordering::Relaxed), 10, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let count = AtomicUsize::new(0);
-        parallel_for_batches(
-            3,
-            64,
-            1,
-            || (),
-            |range, _| {
-                count.fetch_add(range.len(), Ordering::Relaxed);
-            },
-        );
-        assert_eq!(count.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn auto_batch_is_sane() {
-        assert_eq!(auto_batch(0, 8), 1);
-        assert_eq!(auto_batch(10, 8), 1);
-        assert_eq!(auto_batch(1 << 20, 8), 1024); // capped
-        assert!(auto_batch(10_000, 4) >= 1);
-    }
-
-    /// Costs with heavy items up front, junk values mixed in — the shape
-    /// the engine feeds after heaviest-first ordering.
+    /// Per-item costs with heavy items up front and junk values mixed in —
+    /// the shape the engine feeds after heaviest-first ordering.
     fn skewed_costs(total: usize) -> Vec<f64> {
         (0..total)
             .map(|i| match i % 11 {
@@ -368,11 +211,29 @@ mod tests {
             .collect()
     }
 
+    /// A plan with one run per item.
+    fn per_item(costs: &[f64]) -> TaperSchedule {
+        TaperSchedule::new(costs.iter().map(|&c| (c, 1)))
+    }
+
+    /// Every claim boundary from index 0 to the end of the plan.
+    fn claims(sched: &TaperSchedule, threads: usize) -> Vec<usize> {
+        let mut ends = Vec::new();
+        let mut start = 0;
+        while start < sched.len() {
+            let end = sched.claim_end(start, threads);
+            assert!(end > start && end <= sched.len(), "claim {start}..{end}");
+            ends.push(end);
+            start = end;
+        }
+        ends
+    }
+
     #[test]
     fn tapered_claims_cover_every_index_exactly_once() {
-        for threads in [1usize, 2, 8] {
+        for threads in [1usize, 2, 8, 64] {
             for costs in [skewed_costs(1000), vec![1.0; 1000], vec![0.0; 1000]] {
-                let sched = TaperSchedule::new(&costs);
+                let sched = per_item(&costs);
                 assert_eq!(sched.len(), 1000);
                 let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
                 parallel_for_tapered(
@@ -394,10 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn tapered_results_match_fixed_batches() {
-        // Same index-routed contract, so the output vector must equal the
-        // fixed-batch runner's for any schedule.
+    fn tapered_results_are_schedule_independent() {
+        // The engine's usage pattern in miniature: derive work from the
+        // index, write the result at the index. Any schedule must produce
+        // the same output vector as a plain loop.
         let compute = |i: usize| {
+            // Skewed cost to exercise load balancing.
             let mut acc = i as u64;
             for _ in 0..(i % 97) * 100 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -406,37 +269,66 @@ mod tests {
         };
         let golden: Vec<u64> = (0..500).map(compute).collect();
         for threads in [1usize, 2, 8] {
-            let out = Mutex::new(vec![0u64; 500]);
-            let sched = TaperSchedule::new(&skewed_costs(500));
-            parallel_for_tapered(
-                &sched,
-                threads,
-                || (),
-                |range, _| {
-                    let results: Vec<u64> = range.clone().map(compute).collect();
-                    let mut out = out.lock().unwrap();
-                    for (i, r) in range.zip(results) {
-                        out[i] = r;
-                    }
-                },
-            );
-            assert_eq!(golden, out.into_inner().unwrap(), "threads={threads}");
+            for sched in [
+                per_item(&skewed_costs(500)),
+                TaperSchedule::new([(1.0, 500)]),
+            ] {
+                let out = Mutex::new(vec![0u64; 500]);
+                parallel_for_tapered(
+                    &sched,
+                    threads,
+                    || (),
+                    |range, _| {
+                        let results: Vec<u64> = range.clone().map(compute).collect();
+                        let mut out = out.lock().unwrap();
+                        for (i, r) in range.zip(results) {
+                            out[i] = r;
+                        }
+                    },
+                );
+                assert_eq!(golden, out.into_inner().unwrap(), "threads={threads}");
+            }
         }
+    }
+
+    #[test]
+    fn sequential_path_runs_in_order_on_one_state() {
+        let seen = Mutex::new(Vec::new());
+        let states = AtomicUsize::new(0);
+        parallel_for_tapered(
+            &TaperSchedule::new([(1.0, 10)]),
+            1,
+            || states.fetch_add(1, Ordering::Relaxed),
+            |range, _| seen.lock().unwrap().extend(range),
+        );
+        assert_eq!(seen.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
+        assert_eq!(states.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn more_threads_than_items() {
+        let count = AtomicUsize::new(0);
+        parallel_for_tapered(
+            &TaperSchedule::new([(1.0, 3)]),
+            64,
+            || (),
+            |range, _| {
+                count.fetch_add(range.len(), Ordering::Relaxed);
+            },
+        );
+        assert_eq!(count.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     fn taper_shrinks_toward_single_item_claims() {
         // Uniform costs, 2 workers: first claim takes total/4, and the
         // claim sequence decays to single items at the tail instead of
-        // ending in one big straggler batch.
-        let sched = TaperSchedule::uniform(1000);
-        let mut sizes = Vec::new();
-        let mut start = 0;
-        while start < 1000 {
-            let end = sched.claim_end(start, 2);
-            sizes.push(end - start);
-            start = end;
-        }
+        // ending in one big straggler claim.
+        let sched = TaperSchedule::new([(1.0, 1000)]);
+        let ends = claims(&sched, 2);
+        let sizes: Vec<usize> = std::iter::once(ends[0])
+            .chain(ends.windows(2).map(|w| w[1] - w[0]))
+            .collect();
         assert_eq!(sizes[0], 250);
         assert!(sizes.windows(2).all(|w| w[1] <= w[0]), "{sizes:?}");
         assert_eq!(*sizes.last().unwrap(), 1);
@@ -447,9 +339,7 @@ mod tests {
     fn taper_claims_respect_cost_not_count() {
         // One huge item up front: the first claim must stop after it
         // rather than dragging half the item count along.
-        let mut costs = vec![1.0; 100];
-        costs[0] = 1_000_000.0;
-        let sched = TaperSchedule::new(&costs);
+        let sched = TaperSchedule::new([(1_000_000.0, 1), (1.0, 99)]);
         assert_eq!(sched.claim_end(0, 2), 1);
         // Past the spike, claims behave like the uniform tail.
         assert!(sched.claim_end(1, 2) > 2);
@@ -457,22 +347,103 @@ mod tests {
 
     #[test]
     fn taper_zero_and_junk_costs_still_make_progress() {
-        let sched = TaperSchedule::new(&[f64::NAN, 0.0, -1.0, f64::INFINITY]);
-        let mut start = 0;
-        let mut steps = 0;
-        while start < sched.len() {
-            let end = sched.claim_end(start, 8);
-            assert!(end > start && end <= sched.len());
-            start = end;
-            steps += 1;
-        }
-        assert!((1..=4).contains(&steps));
+        let sched = per_item(&[f64::NAN, 0.0, -1.0, f64::INFINITY]);
+        assert!((1..=4).contains(&claims(&sched, 8).len()));
     }
 
     #[test]
     fn empty_taper_schedule_is_a_noop() {
-        let sched = TaperSchedule::new(&[]);
+        let sched = TaperSchedule::new([(1.0, 0), (2.0, 0)]);
         assert!(sched.is_empty());
         parallel_for_tapered(&sched, 4, || (), |_, _| panic!("no work expected"));
+    }
+
+    #[test]
+    fn billion_item_plan_is_three_runs_and_tiles_exactly() {
+        // Neighbouring equal-cost runs coalesce, so four inputs are three
+        // runs; nothing is allocated per item.
+        let sched = TaperSchedule::new([
+            (4.0, 300_000_000),
+            (0.0, 200_000_000),
+            (1.0, 250_000_000),
+            (1.0, 250_000_000),
+        ]);
+        assert_eq!(sched.runs.len(), 3);
+        assert_eq!(sched.len(), 1_000_000_000);
+        assert_eq!(sched.total, 1.7e9);
+        for threads in [1usize, 8] {
+            let ends = claims(&sched, threads);
+            assert_eq!(*ends.last().unwrap(), 1_000_000_000, "threads={threads}");
+            // Geometric taper: a few hundred claims, not a billion.
+            assert!(
+                ends.len() < 1_000,
+                "threads={threads}: {} claims",
+                ends.len()
+            );
+        }
+    }
+
+    /// The per-item reference the run-length plan replaces: a full prefix
+    /// sum and a binary search over it.
+    fn reference_claim_end(prefix: &[f64], start: usize, threads: usize) -> usize {
+        let total = prefix.len() - 1;
+        let goal = prefix[start] + (prefix[total] - prefix[start]) / (2 * threads) as f64;
+        prefix
+            .partition_point(|&p| p < goal)
+            .clamp(start + 1, total)
+    }
+
+    #[test]
+    fn claims_match_a_per_item_prefix_on_integer_costs() {
+        // Integer costs keep every prefix exact in both plans, so the claim
+        // boundaries must agree from every start, not just along one path.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        // The fixed plan puts a claim goal exactly on a run boundary (from
+        // 0 at one thread the goal is 4, the cost before the second run).
+        let mut plans = vec![vec![(2.0, 2), (1.0, 4)]];
+        plans.extend((0..40).map(|_| {
+            (0..1 + next(8))
+                .map(|_| {
+                    let cost = match next(6) {
+                        0 => 0.0,
+                        1 => f64::NAN,
+                        2 => -2.0,
+                        3 => (1 + next(1 << 30)) as f64,
+                        _ => (1 + next(1000)) as f64,
+                    };
+                    (cost, next(60) as usize)
+                })
+                .collect()
+        }));
+        for runs in plans {
+            let mut prefix = vec![0.0];
+            for &(cost, count) in &runs {
+                let unit = if cost.is_finite() && cost > 0.0 {
+                    cost
+                } else {
+                    0.0
+                };
+                for _ in 0..count {
+                    prefix.push(prefix.last().unwrap() + unit);
+                }
+            }
+            let sched = TaperSchedule::new(runs.iter().copied());
+            assert_eq!(sched.len(), prefix.len() - 1);
+            for threads in [1usize, 2, 3, 8] {
+                for start in 0..sched.len() {
+                    assert_eq!(
+                        sched.claim_end(start, threads),
+                        reference_claim_end(&prefix, start, threads),
+                        "runs {runs:?}, start {start}, threads {threads}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! A persistent worker pool for the sweep runners.
 //!
 //! A figure run is many short sub-sweeps (every cell range, every panel,
-//! every resumed plan runs its own `parallel_for_*` call). Spawning and
+//! every resumed plan runs its own `parallel_for_tapered` call). Spawning and
 //! joining a fresh `thread::scope` per sub-sweep costs tens of microseconds
 //! per thread — comparable to the sub-sweep itself on quick grids, and pure
 //! overhead on full ones. This module keeps one process-wide set of

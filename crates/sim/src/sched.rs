@@ -12,7 +12,7 @@
 //! * [`CostSpec`] — a small, serializable analytic shape (`uniform`,
 //!   `linear-n`, `n-log-n`) each experiment's grid description declares for
 //!   its backend. The absolute scale is irrelevant everywhere it is used —
-//!   batching, claim ordering and shard partitioning only compare costs
+//!   claim sizing, claim ordering and shard partitioning only compare costs
 //!   against each other — so an analytic shape is enough.
 //! * [`CostModel`] — the trait the scheduler consumes: per-trial cost as a
 //!   function of `(algorithm, n)`. `CostSpec` implements it with the

@@ -7,12 +7,11 @@
 //! collected and big abstract sweeps stay memory-light.
 
 use contention_core::metrics::BatchMetrics;
-use serde::{Deserialize, Serialize};
 
 /// Everything a figure might plot, extracted from one trial.
 ///
 /// Times are in microseconds (the unit of every figure axis in the paper).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct TrialSummary {
     pub n: u32,
     pub successes: u32,
@@ -83,7 +82,7 @@ impl From<BatchMetrics> for TrialSummary {
 }
 
 /// The metric a figure plots; selects a field of [`TrialSummary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     Successes,
     CwSlots,

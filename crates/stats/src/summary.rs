@@ -1,9 +1,7 @@
 //! Order statistics and moments of a sample.
 
-use serde::{Deserialize, Serialize};
-
 /// Five-number-style summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     pub count: usize,
     pub min: f64,

@@ -48,8 +48,8 @@ pub mod prelude {
     pub use contention_core::time::Nanos;
     pub use contention_mac::{simulate, MacConfig, MacRun, MacSim, Trace};
     pub use contention_sim::engine::{
-        cell, folded, run_trial, run_trial_with, Accumulator, Cell, CellRange, ExecPolicy,
-        FoldedCell, MergeableAccumulator, Simulator, Slots, Sweep, SweepCell,
+        folded, run_trial, run_trial_with, Accumulator, CellRange, ExecPolicy, FoldedCell,
+        MergeableAccumulator, Simulator, Slots, Sweep, SweepHooks,
     };
     pub use contention_sim::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
     // The scheduling CostModel trait is NOT re-exported here: `CostModel`

@@ -10,7 +10,7 @@
 //!
 //! Every trial derives its RNG from `(experiment, algorithm, n, trial)` and
 //! the JSON writer prints shortest-round-trip floats, so these bytes are
-//! stable across thread counts, batch sizes and re-runs; a diff means the
+//! stable across thread counts, claim schedules and re-runs; a diff means the
 //! simulation or aggregation pipeline changed behaviour.
 //!
 //! To regenerate after an *intentional* change:

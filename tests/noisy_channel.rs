@@ -57,7 +57,10 @@ fn degenerate_noisy_sweep_matches_windowed_sweep_bit_for_bit() {
         trials: 6,
         exec: ExecPolicy::threads(4),
     }
-    .run();
+    .run_fold(
+        |_, _, trials| Slots::<TrialSummary>::new(trials),
+        &SweepHooks::none(),
+    );
     let windowed = Sweep::<WindowedSim> {
         experiment: "degenerate-regression",
         config: WindowedConfig::abstract_model(AlgorithmKind::Beb),
@@ -66,12 +69,16 @@ fn degenerate_noisy_sweep_matches_windowed_sweep_bit_for_bit() {
         trials: 6,
         exec: ExecPolicy::threads(4),
     }
-    .run();
+    .run_fold(
+        |_, _, trials| Slots::<TrialSummary>::new(trials),
+        &SweepHooks::none(),
+    );
     assert_eq!(noisy.len(), windowed.len());
-    for (nc, wc) in noisy.iter().zip(&windowed) {
+    for (nc, wc) in noisy.into_iter().zip(windowed) {
         assert_eq!(nc.algorithm, wc.algorithm);
         assert_eq!(nc.n, wc.n);
-        for (trial, (nt, wt)) in nc.trials.iter().zip(&wc.trials).enumerate() {
+        let (nts, wts) = (nc.acc.into_vec(), wc.acc.into_vec());
+        for (trial, (nt, wt)) in nts.iter().zip(&wts).enumerate() {
             assert_eq!(
                 bits(nt),
                 bits(wt),

@@ -1,7 +1,8 @@
 //! Shard-equivalence matrix: a sweep split into cell-range shards, each
 //! shard serialized to a `shard_state/v1` artifact, the artifacts shuffled
 //! and merged, must reproduce the single-process `run_fold` output
-//! **bit-for-bit** — for every backend, shard count and batch size.
+//! **bit-for-bit** — for every backend and shard count, with and without
+//! the cost table that shapes each shard's claim schedule.
 //!
 //! This is the correctness contract of process-sharded sweeps: the merge
 //! seam may never change a number, so a cluster-run figure and a laptop-run
@@ -15,7 +16,8 @@ use contention_slotted::dynamic::{ArrivalProcess, DynAxis, DynamicConfig, Dynami
 use contention_slotted::noisy::NoisyConfig;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
-const BATCHES: [usize; 2] = [1, 16];
+/// Whether each shard's run carries the grid's cost table.
+const COSTED: [bool; 2] = [false, true];
 
 /// Metrics for the batch backends (windowed / noisy / MAC).
 const BATCH_METRICS: [Metric; 3] = [Metric::CwSlots, Metric::TotalTimeUs, Metric::Collisions];
@@ -27,10 +29,6 @@ const DYNAMIC_METRICS: [Metric; 3] = [
     Metric::P95LatencySlots,
     Metric::Collisions,
 ];
-
-fn exec(batch: usize) -> ExecPolicy {
-    ExecPolicy::threads(2).with_batch(batch)
-}
 
 /// The bit image of every cell's every buffer, plus coordinates.
 fn bits(cells: &[StatsCell]) -> Vec<(String, u32, Vec<Vec<u64>>)> {
@@ -51,14 +49,15 @@ fn bits(cells: &[StatsCell]) -> Vec<(String, u32, Vec<Vec<u64>>)> {
 }
 
 /// Runs the full matrix for one backend: golden single-process fold vs
-/// shuffled shard/serialize/parse/merge, across shard counts and batches.
+/// shuffled shard/serialize/parse/merge, across shard counts and cost
+/// tables.
 fn assert_shard_equivalence<S: Simulator>(
     metrics: &[Metric],
     sweep_for: impl Fn(ExecPolicy) -> Sweep<S>,
 ) where
     contention_experiments::summary::TrialSummary: From<S::Output>,
 {
-    let golden_sweep = sweep_for(exec(16));
+    let golden_sweep = sweep_for(ExecPolicy::threads(2));
     let grid = GridMeta {
         algorithms: golden_sweep.algorithms.clone(),
         ns: golden_sweep.ns.clone(),
@@ -66,18 +65,24 @@ fn assert_shard_equivalence<S: Simulator>(
         metrics: metrics.to_vec(),
         cost: CostSpec::NLogN,
     };
-    let golden = golden_sweep.run_fold(MetricStats::collector(metrics));
+    let golden = golden_sweep.run_fold(MetricStats::collector(metrics), &SweepHooks::none());
     let golden_bits = bits(&golden);
     let cells = grid.cell_count();
+    let costs = grid.cell_trial_costs();
 
     for of in SHARD_COUNTS {
-        for batch in BATCHES {
+        for costed in COSTED {
             // One process per shard: run the cell range, serialize.
             let mut artifacts: Vec<String> = (0..of)
                 .map(|index| {
                     let range = CellRange::shard(cells, index, of);
-                    let part = sweep_for(exec(batch).with_cells(range))
-                        .run_fold(MetricStats::collector(metrics));
+                    let hooks = SweepHooks {
+                        range: Some(range),
+                        costs: costed.then_some(&costs[..]),
+                        ..SweepHooks::none()
+                    };
+                    let part = sweep_for(ExecPolicy::threads(2))
+                        .run_fold(MetricStats::collector(metrics), &hooks);
                     assert_eq!(part.len(), range.len(), "{}: shard size", S::NAME);
                     ShardState::from_cells(
                         "shard-eq",
@@ -102,7 +107,7 @@ fn assert_shard_equivalence<S: Simulator>(
                 bits(&merged.into_cells()),
                 golden_bits,
                 "{}: merged shards diverged from the single-process fold \
-                 (shards={of}, batch={batch})",
+                 (shards={of}, costed={costed})",
                 S::NAME
             );
         }
@@ -198,7 +203,7 @@ fn cost_balanced_shards_merge_bit_identically() {
         metrics: metrics.to_vec(),
         cost: CostSpec::NLogN,
     };
-    let golden = golden_sweep.run_fold(MetricStats::collector(&metrics));
+    let golden = golden_sweep.run_fold(MetricStats::collector(&metrics), &SweepHooks::none());
     let golden_bits = bits(&golden);
     let weights = grid.cell_costs();
     assert_eq!(weights.len(), grid.cell_count());
@@ -213,8 +218,10 @@ fn cost_balanced_shards_merge_bit_identically() {
             .iter()
             .enumerate()
             .map(|(index, &range)| {
-                let part = sweep_for(ExecPolicy::threads(2).with_cells(range))
-                    .run_fold(MetricStats::collector(&metrics));
+                let part = sweep_for(ExecPolicy::threads(2)).run_fold(
+                    MetricStats::collector(&metrics),
+                    &SweepHooks::range(Some(range)),
+                );
                 let text = ShardState::from_cells(
                     "shard-eq-weighted",
                     false,
@@ -271,9 +278,10 @@ fn duplicate_shard_artifacts_are_rejected() {
     };
     let shard = |index: usize| {
         let range = CellRange::shard(grid.cell_count(), index, 2);
-        let part = sweep
-            .clone()
-            .run_fold(MetricStats::collector(&[Metric::CwSlots]));
+        let part = sweep.clone().run_fold(
+            MetricStats::collector(&[Metric::CwSlots]),
+            &SweepHooks::none(),
+        );
         let part: Vec<StatsCell> = part
             .into_iter()
             .enumerate()
@@ -310,14 +318,18 @@ fn empty_shards_are_harmless() {
         metrics: vec![Metric::CwSlots],
         cost: CostSpec::Uniform,
     };
-    let golden =
-        sweep_for(ExecPolicy::threads(1)).run_fold(MetricStats::collector(&[Metric::CwSlots]));
+    let golden = sweep_for(ExecPolicy::threads(1)).run_fold(
+        MetricStats::collector(&[Metric::CwSlots]),
+        &SweepHooks::none(),
+    );
     // 5 shards over 2 cells: three shards are empty.
     let states: Vec<ShardState> = (0..5)
         .map(|i| {
             let range = CellRange::shard(2, i, 5);
-            let part = sweep_for(ExecPolicy::threads(1).with_cells(range))
-                .run_fold(MetricStats::collector(&[Metric::CwSlots]));
+            let part = sweep_for(ExecPolicy::threads(1)).run_fold(
+                MetricStats::collector(&[Metric::CwSlots]),
+                &SweepHooks::range(Some(range)),
+            );
             let text = ShardState::from_cells("shard-eq-empty", false, (i as u32, 5), &grid, &part)
                 .to_json();
             ShardState::parse(&text).expect("round trip")

@@ -58,6 +58,7 @@ fn measure() -> MutexGuard<'static, ()> {
 }
 
 /// O(1)-state accumulator: exact count/min/max of CW slots per cell.
+#[derive(Clone)]
 struct CwExtrema(Extrema);
 
 impl Accumulator<TrialSummary> for CwExtrema {
@@ -66,42 +67,58 @@ impl Accumulator<TrialSummary> for CwExtrema {
     }
 }
 
-#[test]
-fn folded_sweep_memory_does_not_scale_with_trials() {
-    let _measure = measure();
-    const TRIALS: u32 = 100_000;
+/// Runs the default (tapered) scheduler over a 1-cell sweep with a cost
+/// table attached — what every `fold_grid` run carries — and returns the
+/// peak heap growth while it runs.
+fn folded_sweep_peak_growth(trials: u32) -> usize {
     let sweep = Sweep::<WindowedSim> {
         experiment: "memory-sanity",
         config: WindowedConfig::abstract_model(AlgorithmKind::Beb),
         algorithms: vec![AlgorithmKind::Beb],
         ns: vec![1],
-        trials: TRIALS,
-        exec: ExecPolicy::threads(2).with_batch(256),
+        trials,
+        exec: ExecPolicy::threads(2),
+    };
+    let costs = [CostSpec::NLogN.cost(1)];
+    let hooks = SweepHooks {
+        costs: Some(&costs),
+        ..SweepHooks::none()
     };
 
     let baseline = CURRENT.load(Ordering::SeqCst);
     PEAK.store(baseline, Ordering::SeqCst);
-    let cells = sweep.run_fold(|_, _, _| CwExtrema(Extrema::new()));
+    let cells = sweep.run_fold(|_, _, _| CwExtrema(Extrema::new()), &hooks);
     let peak_growth = PEAK.load(Ordering::SeqCst).saturating_sub(baseline);
 
     // Every trial ran: a lone BEB station succeeds in its size-1 first
     // window, so every trial contributes exactly one CW slot.
     assert_eq!(cells.len(), 1);
-    assert_eq!(cells[0].acc.0.count(), TRIALS as u64);
+    assert_eq!(cells[0].acc.0.count(), trials as u64);
     assert_eq!(cells[0].acc.0.min(), 1.0);
     assert_eq!(cells[0].acc.0.max(), 1.0);
+    peak_growth
+}
 
-    // The old pipeline retained ≥ trials × size_of::<TrialSummary>() just
-    // for this cell; the fold path's peak must stay far below that. The
-    // bound leaves ~20× headroom over what the run transiently allocates
-    // (thread stacks are not heap; per-trial scratch is freed per trial).
-    let collect_cost = TRIALS as usize * std::mem::size_of::<TrialSummary>();
-    assert!(collect_cost > 8_000_000, "summary shrank? {collect_cost}");
-    assert!(
-        peak_growth < 2_000_000,
-        "peak heap growth {peak_growth} B suggests per-trial retention \
-         (collect path would need {collect_cost} B)"
-    );
+#[test]
+fn folded_sweep_memory_does_not_scale_with_trials() {
+    let _measure = measure();
+    // The same bound at 10⁵ and 10⁶ trials: neither the fold nor the claim
+    // plan may hold anything per trial.
+    for trials in [100_000u32, 1_000_000] {
+        let peak_growth = folded_sweep_peak_growth(trials);
+        // The old pipeline retained ≥ trials × size_of::<TrialSummary>()
+        // just for this cell; the fold path's peak must stay far below
+        // that. The bound leaves ~20× headroom over what the run
+        // transiently allocates (thread stacks are not heap; per-trial
+        // scratch is freed per trial).
+        let collect_cost = trials as usize * std::mem::size_of::<TrialSummary>();
+        assert!(collect_cost > 8_000_000, "summary shrank? {collect_cost}");
+        assert!(
+            peak_growth < 2_000_000,
+            "{trials} trials: peak heap growth {peak_growth} B suggests per-trial \
+             retention (collect path would need {collect_cost} B)"
+        );
+    }
 }
 
 /// A pathological huge-window trial must not pin its high-water slot state
@@ -195,6 +212,7 @@ fn ten_million_arrivals_stream_in_bounded_memory() {
 }
 
 /// O(1)-state accumulator over total time (drops the summary, no alloc).
+#[derive(Clone)]
 struct TimeExtrema(Extrema);
 
 impl Accumulator<TrialSummary> for TimeExtrema {
@@ -229,7 +247,8 @@ fn mac_trial_loop_allocates_only_its_output() {
 
     let allocs_for = |trials: u32| {
         let before = ALLOC_CALLS.load(Ordering::SeqCst);
-        let cells = sweep(trials).run_fold(|_, _, _| TimeExtrema(Extrema::new()));
+        let cells =
+            sweep(trials).run_fold(|_, _, _| TimeExtrema(Extrema::new()), &SweepHooks::none());
         assert_eq!(cells[0].acc.0.count(), trials as u64);
         ALLOC_CALLS.load(Ordering::SeqCst) - before
     };

@@ -1,10 +1,11 @@
 //! Cross-engine golden determinism: the generic `Sweep<S>` must yield
 //! byte-identical results regardless of the worker-thread count *and* the
-//! claim schedule — the default cost-tapered, heaviest-first scheduler
-//! (`batch: None`) as well as every fixed batch size — for every simulator
-//! backend, on both the collect path (`run`) and the streaming fold path
-//! (`run_fold`).
+//! cost table that shapes its tapered, heaviest-first claim schedule — for
+//! every simulator backend, whether the run collects every trial (a fold
+//! into `Slots`) or streams through per-metric buffers (`MetricStats`).
 //!
+//! The golden is a reference oracle: a plain `run_trial` loop over
+//! `(algorithm, n, trial)` that never touches the scheduler.
 //! "Byte-identical" is checked literally: every `f64` is compared by its
 //! bit pattern, not by `==`, so even a sign-of-zero or NaN-payload drift
 //! between schedules would fail.
@@ -14,16 +15,48 @@ use contention_resolution::prelude::*;
 use contention_slotted::dynamic::{ArrivalProcess, DynamicConfig, DynamicSim};
 
 const THREADS: [usize; 3] = [1, 2, 8];
-/// `None` is the tapered + heaviest-first scheduler; `Some(b)` pins fixed
-/// grid-order claims of `b` trials.
-const BATCHES: [Option<usize>; 4] = [None, Some(1), Some(16), Some(1024)];
 
-fn exec(threads: usize, batch: Option<usize>) -> ExecPolicy {
-    let exec = ExecPolicy::threads(threads);
-    match batch {
-        Some(b) => exec.with_batch(b),
-        None => exec,
-    }
+/// Cost tables of every shape the scheduler must tolerate, over the full
+/// grid in cell order: none, ascending `n log n`-style estimates, the same
+/// reversed, and junk (NaN, negative, ±∞, zero).
+fn cost_tables<S: Simulator>(sweep: &Sweep<S>) -> Vec<Option<Vec<f64>>> {
+    let ascending: Vec<f64> = sweep
+        .algorithms
+        .iter()
+        .flat_map(|_| sweep.ns.iter().map(|&n| CostSpec::NLogN.cost(n)))
+        .collect();
+    let reversed = ascending.iter().rev().copied().collect();
+    let junk = [f64::NAN, -1.0, f64::INFINITY, 0.0, f64::NEG_INFINITY];
+    let junk = (0..ascending.len()).map(|i| junk[i % junk.len()]).collect();
+    vec![None, Some(ascending), Some(reversed), Some(junk)]
+}
+
+/// Every trial's raw output, cell by cell in grid order, from a plain
+/// `run_trial` loop — no scheduler involved.
+fn oracle<S: Simulator>(sweep: &Sweep<S>) -> Vec<Vec<S::Output>> {
+    sweep
+        .algorithms
+        .iter()
+        .flat_map(|&alg| sweep.ns.iter().map(move |&n| (alg, n)))
+        .map(|(alg, n)| {
+            let config = S::with_algorithm(&sweep.config, alg);
+            (0..sweep.trials)
+                .map(|t| run_trial::<S>(sweep.experiment, &config, n, t))
+                .collect()
+        })
+        .collect()
+}
+
+/// Every trial's value, cell by cell in grid order, through the engine.
+fn collect<S: Simulator, T: From<S::Output> + Clone + Send>(
+    sweep: &Sweep<S>,
+    hooks: &SweepHooks<'_, Slots<T>>,
+) -> Vec<Vec<T>> {
+    sweep
+        .run_fold(|_, _, trials| Slots::new(trials), hooks)
+        .into_iter()
+        .map(|cell| cell.acc.into_vec())
+        .collect()
 }
 
 /// The bit-exact image of a `TrialSummary`.
@@ -44,44 +77,53 @@ fn bits(t: &TrialSummary) -> Vec<u64> {
     ]
 }
 
-/// `run` is invariant across the full threads × batch matrix, and
-/// `run_fold` through per-metric streaming buffers reproduces the same
-/// numbers bit-for-bit.
+fn summary_bits(cells: &[Vec<TrialSummary>]) -> Vec<Vec<Vec<u64>>> {
+    cells.iter().map(|c| c.iter().map(bits).collect()).collect()
+}
+
+/// Across the full threads × cost-table matrix, collecting every trial
+/// reproduces the oracle bit-for-bit, and so does streaming through
+/// per-metric buffers.
 fn assert_engine_invariants<S: Simulator>(sweep_for: impl Fn(ExecPolicy) -> Sweep<S>)
 where
     TrialSummary: From<S::Output>,
 {
-    let golden_cells = sweep_for(exec(1, Some(1))).run();
-    let golden: Vec<Vec<Vec<u64>>> = golden_cells
-        .iter()
-        .map(|c| c.trials.iter().map(bits).collect())
+    let base = sweep_for(ExecPolicy::threads(1));
+    let golden_cells: Vec<Vec<TrialSummary>> = oracle(&base)
+        .into_iter()
+        .map(|c| c.into_iter().map(TrialSummary::from).collect())
         .collect();
+    let golden = summary_bits(&golden_cells);
     assert!(!golden.is_empty() && golden.iter().all(|c| !c.is_empty()));
     for threads in THREADS {
-        for batch in BATCHES {
-            let cells = sweep_for(exec(threads, batch)).run();
-            let got: Vec<Vec<Vec<u64>>> = cells
-                .iter()
-                .map(|c| c.trials.iter().map(bits).collect())
-                .collect();
+        for costs in cost_tables(&base) {
+            let sweep = sweep_for(ExecPolicy::threads(threads));
+            let got = summary_bits(&collect(
+                &sweep,
+                &SweepHooks {
+                    costs: costs.as_deref(),
+                    ..SweepHooks::none()
+                },
+            ));
             assert_eq!(
                 golden,
                 got,
-                "{}: run() changed at threads={threads} batch={batch:?}",
+                "{}: collected trials changed at threads={threads} costs={costs:?}",
                 S::NAME
             );
 
-            let folded_cells =
-                sweep_for(exec(threads, batch)).run_fold(MetricStats::collector(&Metric::ALL));
+            let folded_cells = sweep.run_fold(
+                MetricStats::collector(&Metric::ALL),
+                &SweepHooks {
+                    costs: costs.as_deref(),
+                    ..SweepHooks::none()
+                },
+            );
             assert_eq!(golden_cells.len(), folded_cells.len());
             for (cell, fold) in golden_cells.iter().zip(&folded_cells) {
-                assert_eq!((cell.algorithm, cell.n), (fold.algorithm, fold.n));
                 for metric in Metric::ALL {
-                    let expect: Vec<u64> = cell
-                        .trials
-                        .iter()
-                        .map(|t| metric.extract(t).to_bits())
-                        .collect();
+                    let expect: Vec<u64> =
+                        cell.iter().map(|t| metric.extract(t).to_bits()).collect();
                     let got: Vec<u64> = fold
                         .acc
                         .sample(metric)
@@ -91,11 +133,11 @@ where
                     assert_eq!(
                         expect,
                         got,
-                        "{}: run_fold({metric:?}) diverged from run() at \
-                         threads={threads} batch={batch:?}, cell {}/{}",
+                        "{}: streamed {metric:?} diverged from the oracle at \
+                         threads={threads} costs={costs:?}, cell {}/{}",
                         S::NAME,
-                        cell.algorithm,
-                        cell.n
+                        fold.algorithm,
+                        fold.n
                     );
                 }
             }
@@ -163,8 +205,8 @@ fn noisy_sweep_is_schedule_invariant() {
     });
 }
 
-/// The dynamic-traffic simulator, checked on its raw output across the
-/// schedule matrix. (Its `TrialSummary` fold path is covered separately by
+/// The dynamic-traffic simulator, checked on its raw output against the
+/// oracle across the schedule matrix. (Its `TrialSummary` fold path is covered separately by
 /// the shard-equivalence matrix.)
 #[test]
 fn dynamic_sweep_is_schedule_invariant() {
@@ -182,17 +224,19 @@ fn dynamic_sweep_is_schedule_invariant() {
         trials: 4,
         exec,
     };
-    let golden = sweep_for(exec(1, Some(1))).run_raw();
+    let base = sweep_for(ExecPolicy::threads(1));
+    let golden = oracle(&base);
     for threads in THREADS {
-        for batch in BATCHES {
-            let got = sweep_for(exec(threads, batch)).run_raw();
-            for (g, r) in golden.iter().zip(&got) {
-                assert_eq!(g.algorithm, r.algorithm);
-                assert_eq!(
-                    g.trials, r.trials,
-                    "dynamic results changed at threads={threads} batch={batch:?}"
-                );
-            }
+        for costs in cost_tables(&base) {
+            let hooks = SweepHooks {
+                costs: costs.as_deref(),
+                ..SweepHooks::none()
+            };
+            let got = collect(&sweep_for(ExecPolicy::threads(threads)), &hooks);
+            assert_eq!(
+                golden, got,
+                "dynamic results changed at threads={threads} costs={costs:?}"
+            );
         }
     }
 }
@@ -209,15 +253,7 @@ fn sweeps_are_pure_functions_of_their_inputs() {
         trials: 4,
         exec: ExecPolicy::default(),
     };
-    let a: Vec<Vec<Vec<u64>>> = sweep
-        .run()
-        .iter()
-        .map(|c| c.trials.iter().map(bits).collect())
-        .collect();
-    let b: Vec<Vec<Vec<u64>>> = sweep
-        .run()
-        .iter()
-        .map(|c| c.trials.iter().map(bits).collect())
-        .collect();
+    let a = summary_bits(&collect(&sweep, &SweepHooks::none()));
+    let b = summary_bits(&collect(&sweep, &SweepHooks::none()));
     assert_eq!(a, b);
 }
