@@ -23,9 +23,9 @@
 //! this module holds all of its logic so it stays unit-testable here.
 
 use crate::checkpoint::{self, CheckpointWriter};
-use crate::figures::sharding::{find_shardable, shardable_names};
+use crate::figures::sharding::grid_experiment;
 use crate::figures::shared::SweepHooks;
-use crate::figures::{registry, Report};
+use crate::figures::{Report, EXPERIMENTS};
 use crate::options::Options;
 use crate::shard::{load_dir, merge_states, write_state, ShardState};
 use contention_sim::engine::CellRange;
@@ -47,92 +47,63 @@ pub fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    match dispatch(&sub, &opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs subcommand `sub`; an `Err` is printed as `error: …` by [`run`].
+fn dispatch(sub: &str, opts: &Options) -> Result<(), String> {
     if sub == "list" {
-        for (name, desc, _) in registry() {
-            println!("{name:<12} {desc}");
+        for e in EXPERIMENTS {
+            println!("{:<12} {}", e.name(), e.about());
         }
         println!(
             "{:<12} benchmark harness — MAC hot path (BENCH_mac.json)",
             "bench"
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     // Fail fast on an unusable output directory — before hours of trials,
     // not after them (the late-error pathology `--json` used to have).
     if let Some(dir) = &opts.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create --out {}: {e}", dir.display());
-            return ExitCode::FAILURE;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create --out {}: {e}", dir.display()))?;
+    }
+    match sub {
+        "shard" => return run_shard(opts),
+        "merge" => return run_merge(opts),
+        "resume" => return run_resume(opts),
+        "serve" => return crate::server::Server::serve(opts),
+        "work" => return crate::worker::run_worker(opts),
+        "bench" => {
+            let started = std::time::Instant::now();
+            crate::benchmark::run(opts)?.print();
+            println!("[bench] done in {:.1?}\n", started.elapsed());
+            return Ok(());
         }
+        _ if opts.checkpoint.is_some() => return run_checkpointed(sub, opts),
+        _ => {}
     }
-    if sub == "shard" {
-        return run_shard(&opts);
+
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|e| sub == "all" || e.name() == sub)
+        .collect();
+    if selected.is_empty() {
+        return Err(format!("unknown experiment {sub:?} (try `repro list`)"));
     }
-    if sub == "merge" {
-        return run_merge(&opts);
-    }
-    if sub == "resume" {
-        return run_resume(&opts);
-    }
-    if sub == "serve" {
-        return match crate::server::Server::serve(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if sub == "work" {
-        return match crate::worker::run_worker(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if sub == "bench" {
+    for experiment in selected {
+        let name = experiment.name();
         let started = std::time::Instant::now();
-        match crate::benchmark::run(&opts) {
-            Ok(report) => {
-                report.print();
-                println!("[bench] done in {:.1?}\n", started.elapsed());
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if opts.checkpoint.is_some() {
-        return run_checkpointed(&sub, &opts);
-    }
-
-    let entries = registry();
-    let selected: Vec<_> = if sub == "all" {
-        entries
-    } else {
-        match entries.into_iter().find(|(name, _, _)| *name == sub) {
-            Some(entry) => vec![entry],
-            None => {
-                eprintln!("error: unknown experiment {sub:?} (try `repro list`)");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-
-    for (name, _, runner) in selected {
-        let started = std::time::Instant::now();
-        let report: Report = runner(&opts);
+        let report = experiment.run(opts);
         report.print();
         if let Some(dir) = &opts.out_dir {
-            if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+            write_report_artifacts(&report, dir, opts.json)?;
             println!(
                 "[{}] {} written to {}",
                 name,
@@ -142,7 +113,7 @@ pub fn run(args: &[String]) -> ExitCode {
         }
         println!("[{}] done in {:.1?}\n", name, started.elapsed());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Writes a report's CSV (and optionally JSON) artifacts into `dir`.
@@ -158,30 +129,26 @@ pub(crate) fn write_report_artifacts(
     Ok(())
 }
 
+/// `problem`, followed by the first few cells `state` still misses.
+fn incomplete(problem: &str, state: &ShardState) -> String {
+    let mut message = problem.to_string();
+    for missing in state.missing().iter().take(8) {
+        message.push_str(&format!("\n  {missing}"));
+    }
+    message
+}
+
 /// `repro <experiment> --checkpoint[-secs/-trials N] --out DIR`: the normal
 /// single-experiment run, with a [`CheckpointWriter`] attached to the
-/// engine's snapshot seam. Requires a shardable experiment — checkpoints
-/// ride the same split cells/report pipeline and `shard_state/v1` artifact
-/// as `repro shard`.
-fn run_checkpointed(sub: &str, opts: &Options) -> ExitCode {
-    let Some(entry) = find_shardable(sub) else {
-        eprintln!(
-            "error: --checkpoint needs a shardable experiment (one sweep grid to \
-             snapshot); {sub:?} is not (shardable: {})",
-            shardable_names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
+/// engine's snapshot seam. Requires a grid experiment — checkpoints ride
+/// the same cells/report halves and `shard_state/v1` artifact as
+/// `repro shard`.
+fn run_checkpointed(sub: &str, opts: &Options) -> Result<(), String> {
+    let entry = grid_experiment(sub)?;
     let dir = opts.out_dir.as_deref().expect("validated at parse time");
     let cadence = opts.checkpoint.expect("checkpointed run").cadence();
     let grid = (entry.grid)(opts);
-    let writer = match CheckpointWriter::new(dir, entry.name, opts.full, grid) {
-        Ok(writer) => writer,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let writer = CheckpointWriter::new(dir, entry.name, opts.full, grid)?;
     let started = std::time::Instant::now();
     let hooks = SweepHooks {
         monitor: Some((cadence, &writer)),
@@ -190,10 +157,7 @@ fn run_checkpointed(sub: &str, opts: &Options) -> ExitCode {
     let cells = (entry.cells)(opts, &hooks);
     let report = (entry.report)(opts, &cells);
     report.print();
-    if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    write_report_artifacts(&report, dir, opts.json)?;
     println!(
         "[{}] {} + checkpoints written to {}",
         entry.name,
@@ -201,7 +165,7 @@ fn run_checkpointed(sub: &str, opts: &Options) -> ExitCode {
         dir.display()
     );
     println!("[{}] done in {:.1?}\n", entry.name, started.elapsed());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro resume DIR [--json]`: loads the newest valid checkpoint under
@@ -209,28 +173,16 @@ fn run_checkpointed(sub: &str, opts: &Options) -> ExitCode {
 /// position-addressed, so those trials are bit-identical to what the
 /// interrupted run would have produced), merges, and emits the experiment's
 /// reports into `DIR` — byte-identical to an uninterrupted run.
-fn run_resume(opts: &Options) -> ExitCode {
+fn run_resume(opts: &Options) -> Result<(), String> {
     let dir = Path::new(&opts.inputs[0]);
-    let loaded = match checkpoint::load_latest(dir) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let loaded = checkpoint::load_latest(dir)?;
     // Recovery that stepped over damage (a dangling `latest` pointer, torn
     // artifacts) still works — but never silently.
     for warning in &loaded.warnings {
         eprintln!("warning: {warning}");
     }
     let (state, seq) = (loaded.state, loaded.seq);
-    let Some(entry) = find_shardable(&state.experiment) else {
-        eprintln!(
-            "error: checkpoint names unknown experiment {:?}",
-            state.experiment
-        );
-        return ExitCode::FAILURE;
-    };
+    let entry = grid_experiment(&state.experiment)?;
     // Rebuild the grid-shaping options of the original run; --threads may
     // differ freely — results are independent of it.
     let run_opts = Options {
@@ -241,20 +193,13 @@ fn run_resume(opts: &Options) -> ExitCode {
     };
     let grid = (entry.grid)(&run_opts);
     if grid != state.grid {
-        eprintln!(
-            "error: checkpoint grid does not match {:?}'s current grid \
+        return Err(format!(
+            "checkpoint grid does not match {:?}'s current grid \
              (artifact from a different build?)",
             state.experiment
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    let plan = match checkpoint::missing_work(&state) {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let plan = checkpoint::missing_work(&state)?;
     let missing: usize = plan.iter().map(|(_, trials)| trials.len()).sum();
     let total = grid.cell_count() * grid.trials as usize;
     let name = state.experiment.clone();
@@ -269,13 +214,8 @@ fn run_resume(opts: &Options) -> ExitCode {
     } else {
         // Re-checkpoint as we go — with the loaded state folded in, so a
         // second interruption still loses nothing.
-        let writer = match CheckpointWriter::new(dir, &name, run_opts.full, grid.clone()) {
-            Ok(writer) => writer.with_base(state.clone()),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let writer = CheckpointWriter::new(dir, &name, run_opts.full, grid.clone())?
+            .with_base(state.clone());
         let cadence = opts.checkpoint.unwrap_or_default().cadence();
         let hooks = SweepHooks {
             missing: Some(&plan),
@@ -283,48 +223,32 @@ fn run_resume(opts: &Options) -> ExitCode {
             ..SweepHooks::default()
         };
         let fresh = (entry.cells)(&run_opts, &hooks);
-        match checkpoint::merge_cells(&grid, &state.into_cells(), &fresh) {
-            Ok(cells) => cells,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        checkpoint::merge_cells(&grid, &state.into_cells(), &fresh)?
     };
     let reassembled = ShardState::from_cells(&name, run_opts.full, (0, 1), &grid, &cells);
     if !reassembled.is_complete() {
-        eprintln!("error: resumed state is still incomplete — corrupt checkpoint?");
-        for missing in reassembled.missing().iter().take(8) {
-            eprintln!("  {missing}");
-        }
-        return ExitCode::FAILURE;
+        return Err(incomplete(
+            "resumed state is still incomplete — corrupt checkpoint?",
+            &reassembled,
+        ));
     }
     let report = (entry.report)(&run_opts, &cells);
     report.print();
-    if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    write_report_artifacts(&report, dir, opts.json)?;
     println!(
         "[resume] {name} complete: {} written to {} in {:.1?}",
         if opts.json { "CSVs + JSON" } else { "CSVs" },
         dir.display(),
         started.elapsed()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro shard <experiment> --shard i/N --out DIR`: runs shard `i`'s cell
 /// range of the experiment's grid and writes the partial-state artifact.
-fn run_shard(opts: &Options) -> ExitCode {
+fn run_shard(opts: &Options) -> Result<(), String> {
     let name = &opts.inputs[0];
-    let Some(entry) = find_shardable(name) else {
-        eprintln!(
-            "error: {name:?} is not shardable (shardable experiments: {})",
-            shardable_names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
+    let entry = grid_experiment(name)?;
     let (index, of) = opts.shard.expect("validated at parse time");
     let grid = (entry.grid)(opts);
     let total = grid.cell_count();
@@ -337,13 +261,7 @@ fn run_shard(opts: &Options) -> ExitCode {
     let cells = (entry.cells)(opts, &SweepHooks::range(Some(range)));
     let state = ShardState::from_cells(entry.name, opts.full, (index, of), &grid, &cells);
     let dir = opts.out_dir.as_deref().expect("validated at parse time");
-    let path = match write_state(dir, &state) {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let path = write_state(dir, &state)?;
     println!(
         "[shard] {name} shard {index}/{of}: cells [{}, {}) of {total} → {} in {:.1?}",
         range.lo,
@@ -351,46 +269,27 @@ fn run_shard(opts: &Options) -> ExitCode {
         path.display(),
         started.elapsed()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro merge DIR... --out DIR [--json]`: loads every shard artifact in
 /// the given directories, merges them, and emits the experiment's reports
 /// exactly as a single-process `repro <experiment> --out DIR` would.
-fn run_merge(opts: &Options) -> ExitCode {
+fn run_merge(opts: &Options) -> Result<(), String> {
     let mut states = Vec::new();
     for dir in &opts.inputs {
-        match load_dir(Path::new(dir)) {
-            Ok(found) => states.extend(found),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        states.extend(load_dir(Path::new(dir))?);
     }
     let count = states.len();
     let denominator = states.first().map_or(1, |s| s.shard.1);
-    let merged = match merge_states(states) {
-        Ok(merged) => merged,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let merged = merge_states(states)?;
     if !merged.is_complete() {
-        eprintln!("error: merged state is incomplete — did you merge all {denominator} shards?");
-        for missing in merged.missing().iter().take(8) {
-            eprintln!("  {missing}");
-        }
-        return ExitCode::FAILURE;
+        return Err(incomplete(
+            &format!("merged state is incomplete — did you merge all {denominator} shards?"),
+            &merged,
+        ));
     }
-    let Some(entry) = find_shardable(&merged.experiment) else {
-        eprintln!(
-            "error: artifact names unknown experiment {:?}",
-            merged.experiment
-        );
-        return ExitCode::FAILURE;
-    };
+    let entry = grid_experiment(&merged.experiment)?;
     // Rebuild the options the report half would have seen in-process; the
     // artifact records everything execution-independent about the run.
     let report_opts = Options {
@@ -402,17 +301,14 @@ fn run_merge(opts: &Options) -> ExitCode {
     let report = (entry.report)(&report_opts, &merged.into_cells());
     report.print();
     let dir = opts.out_dir.as_deref().expect("validated at parse time");
-    if let Err(e) = write_report_artifacts(&report, dir, opts.json) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    write_report_artifacts(&report, dir, opts.json)?;
     println!(
         "[merge] {count} artifacts → {} {} written to {}",
         name,
         if opts.json { "CSVs + JSON" } else { "CSVs" },
         dir.display()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Entry point over the process arguments.
@@ -468,8 +364,8 @@ fn print_usage() {
     println!("  --connect H:P   work: the coordinator to pull leases from");
     println!();
     println!("experiments:");
-    for (name, desc, _) in registry() {
-        println!("  {name:<12} {desc}");
+    for e in EXPERIMENTS {
+        println!("  {:<12} {}", e.name(), e.about());
     }
 }
 
@@ -507,8 +403,8 @@ mod tests {
     #[test]
     fn shard_rejects_unshardable_experiments() {
         let out = temp_dir("unshardable");
-        // fig13 is a single deterministic trace — registered, but not in
-        // the shardable registry.
+        // fig13 is a single deterministic trace — a direct runner, not a
+        // grid experiment.
         assert_eq!(
             run(&strs(&[
                 "shard",

@@ -1,8 +1,10 @@
 //! Figures 5, 15 and 16 — the abstract (A0–A2 only) simulator.
 //!
-//! Each figure is split into `*_cells` (the sweep, cell-range aware for
-//! process sharding) and `*_report` (pure function of the folded cells);
-//! Figures 15 and 16 share one large-n sweep, so they share its grid too.
+//! All three are grid experiments: a grid, a `*_cells` half (the sweep,
+//! with the CLI's execution seams attached) and a pure `*_report` half over
+//! the folded cells, composed in the experiment table
+//! (`figures::EXPERIMENTS`). Figures 15 and 16 share one large-n sweep, so
+//! they share its grid and cells half too.
 
 use crate::aggregate::{series_per_algorithm, Series, SeriesPoint, StatsCell};
 use crate::figures::shared::{fold_grid, paper_algorithms, report_from_series, SweepHooks};
@@ -37,6 +39,11 @@ pub fn fig5_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     )
 }
 
+/// Figure 5: CW slots from the abstract simulator over the paper's n grid.
+///
+/// This is the "simple Java simulation" — it roughly agrees with the NS3
+/// numbers in magnitude and in BEB's separation, though the newer algorithms
+/// do not separate cleanly at this scale (§III-A1).
 pub fn fig5_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let series = series_per_algorithm(cells, &paper_algorithms(), Metric::CwSlots);
     report_from_series(
@@ -46,15 +53,6 @@ pub fn fig5_report(_opts: &Options, cells: &[StatsCell]) -> Report {
         &series,
         "BEB separates; LLB/LB/STB overlap at small n",
     )
-}
-
-/// Figure 5: CW slots from the abstract simulator over the paper's n grid.
-///
-/// This is the "simple Java simulation" — it roughly agrees with the NS3
-/// numbers in magnitude and in BEB's separation, though the newer algorithms
-/// do not separate cleanly at this scale (§III-A1).
-pub fn fig5(opts: &Options) -> Report {
-    fig5_report(opts, &fig5_cells(opts, &SweepHooks::none()))
 }
 
 /// The large-n grid of §V-A, shared by Figures 15 and 16. The paper runs
@@ -86,6 +84,8 @@ pub fn large_n_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     )
 }
 
+/// Figure 15: CW slots at large n — STB pulls ahead and LLB finally
+/// outperforms LB, as the asymptotics (Table II) demand (§V-A(i)).
 pub fn fig15_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let series = series_per_algorithm(cells, &paper_algorithms(), Metric::CwSlots);
     let mut report = report_from_series(
@@ -105,18 +105,8 @@ pub fn fig15_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-/// Figure 15: CW slots at large n — STB pulls ahead and LLB finally
-/// outperforms LB, as the asymptotics (Table II) demand (§V-A(i)).
-pub fn fig15(opts: &Options) -> Report {
-    fig15_report(opts, &large_n_cells(opts, &SweepHooks::none()))
-}
-
 /// Figure 16: ratio of median collision counts vs STB (§V-A(ii)–(iii)):
 /// LB/STB exceeds 1 quickly, LLB/STB crawls upward, BEB/STB stays flat.
-pub fn fig16(opts: &Options) -> Report {
-    fig16_report(opts, &large_n_cells(opts, &SweepHooks::none()))
-}
-
 pub fn fig16_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let ns: Vec<u32> = {
         let mut v: Vec<u32> = cells.iter().map(|c| c.n).collect();
@@ -173,6 +163,7 @@ pub fn fig16_report(_opts: &Options, cells: &[StatsCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::find;
 
     fn opts() -> Options {
         Options {
@@ -184,14 +175,14 @@ mod tests {
 
     #[test]
     fn fig5_runs_and_orders_beb_worst() {
-        let r = fig5(&opts());
+        let r = find("fig5").unwrap().run(&opts());
         let pct = r.body.lines().find(|l| l.starts_with("vs BEB")).unwrap();
         assert!(pct.contains("STB -"), "{pct}");
     }
 
     #[test]
     fn fig16_ratios_behave() {
-        let r = fig16(&opts());
+        let r = find("fig16").unwrap().run(&opts());
         assert!(r.body.contains("LB/STB"));
         assert!(r.body.contains("BEB/STB"));
     }

@@ -21,6 +21,7 @@ pub fn fig11_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     mac_stats_range(opts, 64, &[Metric::MaxAckTimeouts], hooks)
 }
 
+/// Figure 11: maximum number of ACK timeouts suffered by any station.
 pub fn fig11_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 11 — max ACK timeouts per station vs n (MAC sim, 64 B payload)",
@@ -31,11 +32,6 @@ pub fn fig11_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 11: maximum number of ACK timeouts suffered by any station.
-pub fn fig11(opts: &Options) -> Report {
-    fig11_report(opts, &fig11_cells(opts, &SweepHooks::none()))
-}
-
 pub fn fig12_grid(opts: &Options) -> GridMeta {
     mac_grid(opts, &[Metric::MaxAckTimeoutTimeUs])
 }
@@ -44,6 +40,7 @@ pub fn fig12_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     mac_stats_range(opts, 64, &[Metric::MaxAckTimeoutTimeUs], hooks)
 }
 
+/// Figure 12: ACK-timeout waiting time of the station from Figure 11.
 pub fn fig12_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 12 — max time waiting for ACK timeouts vs n (MAC sim, 64 B payload)",
@@ -52,11 +49,6 @@ pub fn fig12_report(_opts: &Options, cells: &[StatsCell]) -> Report {
         cells,
         "order-of-magnitude below transmission time; BEB ≈ 1,100 µs at n=150",
     )
-}
-
-/// Figure 12: ACK-timeout waiting time of the station from Figure 11.
-pub fn fig12(opts: &Options) -> Report {
-    fig12_report(opts, &fig12_cells(opts, &SweepHooks::none()))
 }
 
 #[cfg(test)]

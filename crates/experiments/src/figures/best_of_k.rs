@@ -1,4 +1,7 @@
 //! Figures 18 and 19 — the BEST-OF-k size-estimation approach (§VI).
+//!
+//! Both are grid experiments over one shared sweep ([`grid`], [`cells`]),
+//! each with its own pure report.
 
 use crate::aggregate::{series_per_algorithm, Series, SeriesPoint, StatsCell};
 use crate::figures::shared::{fold_grid, SweepHooks};
@@ -20,32 +23,34 @@ fn algorithms() -> Vec<AlgorithmKind> {
     ]
 }
 
-/// One shared sweep stream feeds both figures, mirroring the paper's
+/// The grid of the sweep stream both figures share, mirroring the paper's
 /// 20-trial runs.
-fn sweep(opts: &Options) -> Vec<StatsCell> {
-    let grid = GridMeta {
+pub fn grid(opts: &Options) -> GridMeta {
+    GridMeta {
         algorithms: algorithms(),
         ns: opts.mac_ns(),
         trials: opts.trials_or(6, 20),
         metrics: vec![Metric::MedianEstimate, Metric::TotalTimeUs],
         cost: CostSpec::NLogN,
-    };
+    }
+}
+
+pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     fold_grid::<MacSim>(
         "fig18-19",
         MacConfig::paper(AlgorithmKind::Beb, 64),
-        &grid,
+        &grid(opts),
         opts,
-        &SweepHooks::none(),
+        hooks,
     )
 }
 
 /// Figure 18: the estimates of n. Best-of-3 is noisier than Best-of-5, and
 /// only overestimates occur — which is what keeps fixed backoff
 /// collision-frugal.
-pub fn fig18(opts: &Options) -> Report {
-    let cells = sweep(opts);
+pub fn fig18_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     let estimators = &algorithms()[1..];
-    let mut series = series_per_algorithm(&cells, estimators, Metric::MedianEstimate);
+    let mut series = series_per_algorithm(cells, estimators, Metric::MedianEstimate);
     // The paper plots the true size alongside the estimates.
     let truth = Series {
         name: "True size".to_string(),
@@ -99,9 +104,8 @@ pub fn fig18(opts: &Options) -> Report {
 
 /// Figure 19: total time of BEB vs Best-of-3 vs Best-of-5 (64 B payload).
 /// The paper reports decreases of 26.0 % (k = 3) and 24.7 % (k = 5).
-pub fn fig19(opts: &Options) -> Report {
-    let cells = sweep(opts);
-    let series = series_per_algorithm(&cells, &algorithms(), Metric::TotalTimeUs);
+pub fn fig19_report(_opts: &Options, cells: &[StatsCell]) -> Report {
+    let series = series_per_algorithm(cells, &algorithms(), Metric::TotalTimeUs);
     let mut report = Report::new("Figure 19 — total time: BEB vs BEST-OF-k (64 B payload)");
     report.line(render_series("n", &series));
     let beb = series[0].final_median();
@@ -120,6 +124,7 @@ pub fn fig19(opts: &Options) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::find;
 
     fn opts() -> Options {
         Options {
@@ -131,13 +136,13 @@ mod tests {
 
     #[test]
     fn estimates_respect_the_underestimate_bound() {
-        let r = fig18(&opts());
+        let r = find("fig18").unwrap().run(&opts());
         assert!(r.body.contains("(never below n/2): holds"), "{}", r.body);
     }
 
     #[test]
     fn best_of_k_beats_beb_at_150() {
-        let r = fig19(&opts());
+        let r = find("fig19").unwrap().run(&opts());
         for line in r.body.lines().filter(|l| l.contains("vs BEB at n=150")) {
             assert!(line.contains('-'), "Best-of-k should beat BEB: {line}");
         }

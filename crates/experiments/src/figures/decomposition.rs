@@ -6,38 +6,51 @@
 //! dominating ACK timeouts by an order of magnitude. We measure the same
 //! three components directly.
 
-use crate::aggregate::MetricStats;
-use crate::figures::shared::SweepHooks;
+use crate::aggregate::StatsCell;
+use crate::figures::shared::{fold_grid, SweepHooks};
 use crate::figures::Report;
 use crate::options::Options;
+use crate::shard::GridMeta;
 use crate::summary::Metric;
-use crate::sweep::Sweep;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::model::{CostModel, Decomposition};
 use contention_core::params::Phy80211g;
 use contention_core::time::Nanos;
 use contention_mac::{MacConfig, MacSim};
+use contention_sim::sched::CostSpec;
 
-pub fn run(opts: &Options) -> Report {
-    let n = 150;
-    let payload = 64;
-    let cells = Sweep::<MacSim> {
-        experiment: "decomp",
-        config: MacConfig::paper(AlgorithmKind::Beb, payload),
+/// The paper's worked example: BEB, n = 150, 64 B payload.
+const N: u32 = 150;
+const PAYLOAD: u32 = 64;
+
+/// A one-cell grid: every trial of BEB at n = 150.
+pub fn grid(opts: &Options) -> GridMeta {
+    GridMeta {
         algorithms: vec![AlgorithmKind::Beb],
-        ns: vec![n],
+        ns: vec![N],
         trials: opts.trials_or(8, 30),
-        exec: opts.exec(),
-    }
-    .run_fold(
-        MetricStats::collector(&[
+        metrics: vec![
             Metric::Collisions,
             Metric::CwSlots,
             Metric::MaxAckTimeoutTimeUs,
             Metric::TotalTimeUs,
-        ]),
-        &SweepHooks::none(),
-    );
+        ],
+        cost: CostSpec::NLogN,
+    }
+}
+
+pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
+    fold_grid::<MacSim>(
+        "decomp",
+        MacConfig::paper(AlgorithmKind::Beb, PAYLOAD),
+        &grid(opts),
+        opts,
+        hooks,
+    )
+}
+
+pub fn report(_opts: &Options, cells: &[StatsCell]) -> Report {
+    let (n, payload) = (N, PAYLOAD);
     let cell = &cells[0].acc;
     let x = n as f64;
     let collisions = cell.point(x, Metric::Collisions).median;
@@ -150,7 +163,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = crate::figures::find("decomp").unwrap().run(&opts);
         assert!(
             r.body.contains("lower bound ≤ measured total: holds"),
             "{}",

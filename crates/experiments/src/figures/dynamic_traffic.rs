@@ -153,13 +153,10 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-pub fn run(opts: &Options) -> Report {
-    report(opts, &cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::find;
 
     #[test]
     fn dynamic_report_runs_and_names_winners() {
@@ -168,7 +165,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = find("dynamic").unwrap().run(&opts);
         assert!(r.body.contains("winner"));
         assert!(r.body.contains("802.11g"));
     }

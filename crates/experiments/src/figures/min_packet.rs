@@ -5,18 +5,29 @@
 //! frame. The qualitative behaviour survives: the paper reports total-time
 //! increases of +6.6 % (LLB), +17.8 % (LB) and +20.6 % (STB) over BEB.
 
-use crate::figures::shared::standard_mac_figure;
+use crate::aggregate::StatsCell;
+use crate::figures::shared::{
+    mac_grid, mac_stats_range, standard_mac_figure_from_cells, SweepHooks,
+};
 use crate::figures::Report;
 use crate::options::Options;
+use crate::shard::GridMeta;
 use crate::summary::Metric;
 
-pub fn run(opts: &Options) -> Report {
-    let mut report = standard_mac_figure(
-        opts,
+pub fn grid(opts: &Options) -> GridMeta {
+    mac_grid(opts, &[Metric::TotalTimeUs])
+}
+
+pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
+    mac_stats_range(opts, 12, &[Metric::TotalTimeUs], hooks)
+}
+
+pub fn report(_opts: &Options, cells: &[StatsCell]) -> Report {
+    let mut report = standard_mac_figure_from_cells(
         "§V-B — total time with minimum-size packets (12 B payload)",
         "minpkt_total_time_12",
-        12,
         Metric::TotalTimeUs,
+        cells,
         "LLB +6.6%, LB +17.8%, STB +20.6%",
     );
     report.line(
@@ -37,7 +48,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = crate::figures::find("minpkt").unwrap().run(&opts);
         assert!(r.body.contains("vs BEB"));
     }
 }

@@ -177,13 +177,10 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
     report
 }
 
-pub fn run(opts: &Options) -> Report {
-    report(opts, &cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::find;
 
     #[test]
     fn saturation_report_shows_boundary_and_all_algorithms() {
@@ -192,7 +189,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = find("saturation").unwrap().run(&opts);
         assert!(r.body.contains("phase boundary"), "{}", r.body);
         for alg in paper_algorithms() {
             assert!(r.body.contains(&alg.label()), "{}", r.body);

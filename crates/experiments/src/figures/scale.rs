@@ -58,10 +58,6 @@ pub fn cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     )
 }
 
-pub fn run(opts: &Options) -> Report {
-    report(opts, &cells(opts, &SweepHooks::none()))
-}
-
 pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
     let g = grid(opts);
     let (algorithms, ns, trials) = (g.algorithms, g.ns, g.trials);
@@ -102,6 +98,7 @@ pub fn report(opts: &Options, cells: &[StatsCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::find;
 
     #[test]
     fn scale_grid_reaches_1e5_and_stb_wins() {
@@ -110,7 +107,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = find("scale").unwrap().run(&opts);
         assert!(r.title.contains("n up to 100000"), "{}", r.title);
         let pct = r
             .body
@@ -128,7 +125,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = run(&opts);
+        let r = find("scale").unwrap().run(&opts);
         // 16 cells × 2 trials × 2 metrics × 8 B = 512 bytes.
         assert!(r.body.contains("retained 512 bytes"), "{}", r.body);
     }

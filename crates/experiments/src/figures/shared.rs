@@ -17,8 +17,9 @@
 //! value it sits in: `repro all` shares one across experiments, a clone
 //! starts empty, and runs with execution seams attached (shard range,
 //! resume plan, checkpoint monitor — the serve and work paths) bypass it.
-//! Tables II/III and Figures 18/19 ride the same path, so `repro all` runs
-//! each of their sweeps once as well.
+//! Tables II/III, Figures 18/19, the 12 B `minpkt` sweep and the one-cell
+//! `decomp` sweep ride the same path, so `repro all` runs each of their
+//! sweeps once as well.
 
 use crate::aggregate::{
     final_percent_vs_first, series_per_algorithm, MetricStats, Series, StatsCell,
@@ -40,10 +41,10 @@ pub fn paper_algorithms() -> Vec<AlgorithmKind> {
     AlgorithmKind::PAPER_SET.to_vec()
 }
 
-/// Execution seams the CLI threads into a shardable figure's sweep: the
+/// Execution seams the CLI threads into a grid experiment's sweep: the
 /// engine's hooks over [`MetricStats`] — cell range (`repro shard`), sparse
 /// plan (`repro resume`, leases) and checkpoint monitor (`--checkpoint`).
-/// Every shardable `*_cells` function forwards them untouched to
+/// Every grid experiment's `cells` half forwards them untouched to
 /// [`fold_grid`], which supplies the grid's cost table.
 pub type SweepHooks<'a> = contention_sim::engine::SweepHooks<'a, MetricStats>;
 
@@ -217,8 +218,10 @@ pub fn mac_stats_range(
     )
 }
 
-/// The shared MAC sweep for one payload size, folded down to `metrics`.
-pub fn mac_stats(opts: &Options, payload: u32, metrics: &[Metric]) -> Vec<StatsCell> {
+/// The shared MAC sweep for one payload size, folded down to `metrics`
+/// (the tests' shorthand for [`mac_stats_range`] without hooks).
+#[cfg(test)]
+pub(crate) fn mac_stats(opts: &Options, payload: u32, metrics: &[Metric]) -> Vec<StatsCell> {
     mac_stats_range(opts, payload, metrics, &SweepHooks::none())
 }
 
@@ -249,9 +252,10 @@ where
     cells.remove(0).acc
 }
 
-/// Builds the standard figure report from already-folded cells — the step
-/// `repro merge` re-runs on reassembled shard state, so it must (and does)
-/// depend only on the cells, never on how they were executed.
+/// Builds the standard figure report from already-folded cells: a
+/// per-algorithm series table over `n` plus the paper's percent-change-vs-BEB
+/// line at the largest `n`. It depends only on the cells, never on how they
+/// were executed, so `repro merge` can re-run it on reassembled shard state.
 pub fn standard_mac_figure_from_cells(
     title: &str,
     csv_name: &str,
@@ -261,20 +265,6 @@ pub fn standard_mac_figure_from_cells(
 ) -> Report {
     let series = series_per_algorithm(cells, &paper_algorithms(), metric);
     report_from_series(title, csv_name, metric, &series, paper_percents)
-}
-
-/// Builds the standard figure report: a per-algorithm series table over `n`
-/// plus the paper's percent-change-vs-BEB line at the largest `n`.
-pub fn standard_mac_figure(
-    opts: &Options,
-    title: &str,
-    csv_name: &str,
-    payload: u32,
-    metric: Metric,
-    paper_percents: &str,
-) -> Report {
-    let cells = mac_stats(opts, payload, &[metric]);
-    standard_mac_figure_from_cells(title, csv_name, metric, &cells, paper_percents)
 }
 
 /// Renders series + percent line into a [`Report`].
@@ -415,12 +405,12 @@ mod tests {
 
     #[test]
     fn standard_figure_produces_table_and_percents() {
-        let r = standard_mac_figure(
-            &tiny_opts(),
+        let cells = mac_stats(&tiny_opts(), 64, &[Metric::CwSlots]);
+        let r = standard_mac_figure_from_cells(
             "test figure",
             "test_fig",
-            64,
             Metric::CwSlots,
+            &cells,
             "-49.4% / -68.2% / -83.0%",
         );
         assert!(r.body.contains("BEB"));

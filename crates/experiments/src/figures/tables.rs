@@ -1,4 +1,8 @@
 //! Tables I, II and III.
+//!
+//! Tables II and III are grid experiments over one shared growth sweep
+//! ([`growth_grid`], [`growth_cells`]), each with its own pure report;
+//! Table I sweeps nothing.
 
 use crate::aggregate::StatsCell;
 use crate::figures::shared::{fold_grid, paper_algorithms, SweepHooks};
@@ -58,30 +62,31 @@ pub fn table1(_opts: &Options) -> Report {
     report
 }
 
-/// Shared growth-check sweep for Tables II and III: abstract model over a
-/// geometric n grid so ratio flatness is meaningful. Only the table's metric
-/// is folded out of the stream.
-fn growth_sweep(opts: &Options, metric: Metric) -> (Vec<u32>, Vec<StatsCell>) {
+/// The growth-check grid shared by Tables II and III: abstract model over a
+/// geometric n grid so ratio flatness is meaningful.
+pub fn growth_grid(opts: &Options) -> GridMeta {
     let ns: Vec<u32> = if opts.full {
         vec![100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800]
     } else {
         vec![100, 400, 1_600, 6_400]
     };
-    let grid = GridMeta {
+    GridMeta {
         algorithms: paper_algorithms(),
         ns,
         trials: opts.trials_or(8, 30),
-        metrics: vec![metric],
+        metrics: vec![Metric::CwSlots, Metric::Collisions],
         cost: CostSpec::NLogN,
-    };
-    let cells = fold_grid::<WindowedSim>(
+    }
+}
+
+pub fn growth_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
+    fold_grid::<WindowedSim>(
         "growth-tables",
         WindowedConfig::abstract_model(AlgorithmKind::Beb),
-        &grid,
+        &growth_grid(opts),
         opts,
-        &SweepHooks::none(),
-    );
-    (grid.ns, cells)
+        hooks,
+    )
 }
 
 /// The Θ-shape each algorithm is supposed to follow.
@@ -107,8 +112,9 @@ fn growth_table(
     metric: Metric,
     bound: fn(AlgorithmKind, u64) -> f64,
     opts: &Options,
+    cells: &[StatsCell],
 ) -> Report {
-    let (ns, cells) = growth_sweep(opts, metric);
+    let ns = growth_grid(opts).ns;
     let mut report = Report::new(title);
     let mut header = vec!["algorithm".to_string(), "guarantee".to_string()];
     for &n in &ns {
@@ -121,7 +127,7 @@ fn growth_table(
         let ratios: Vec<f64> = ns
             .iter()
             .map(|&n| {
-                let measured = folded(&cells, alg, n).acc.point(n as f64, metric).median;
+                let measured = folded(cells, alg, n).acc.point(n as f64, metric).median;
                 measured / bound(alg, n as u64)
             })
             .collect();
@@ -148,7 +154,7 @@ fn growth_table(
 }
 
 /// Table II: CW-slot guarantees vs measured growth (abstract model).
-pub fn table2(opts: &Options) -> Report {
+pub fn table2_report(opts: &Options, cells: &[StatsCell]) -> Report {
     growth_table(
         "Table II — CW-slot guarantees vs measured growth (abstract simulator)",
         "table2_cw_growth",
@@ -156,11 +162,12 @@ pub fn table2(opts: &Options) -> Report {
         Metric::CwSlots,
         cw_slots_bound,
         opts,
+        cells,
     )
 }
 
 /// Table III: collision bounds vs measured growth (abstract model).
-pub fn table3(opts: &Options) -> Report {
+pub fn table3_report(opts: &Options, cells: &[StatsCell]) -> Report {
     let mut report = growth_table(
         "Table III — collision bounds vs measured growth (abstract simulator)",
         "table3_collision_growth",
@@ -168,6 +175,7 @@ pub fn table3(opts: &Options) -> Report {
         Metric::Collisions,
         collisions_bound,
         opts,
+        cells,
     );
     report.line(
         "total-time column of Table III: T_A = Θ(C_A·P + W_A); see `repro model` \
@@ -203,7 +211,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = table3(&opts);
+        let r = crate::figures::find("table3").unwrap().run(&opts);
         assert!(r.body.contains("O(n)"));
         assert!(r.body.contains("flatness"));
     }

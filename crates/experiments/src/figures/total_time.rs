@@ -3,8 +3,10 @@
 //! These are the paper's headline reversal: the ordering of Figures 3–6
 //! flips once the cost of collisions is measured (Result 2).
 //!
-//! Each figure is split into `*_cells` (the sweep, cell-range aware for
-//! process sharding) and `*_report` (pure function of the folded cells).
+//! All four are grid experiments: a grid, a `*_cells` half (the shared MAC
+//! sweep for the payload, with the CLI's execution seams attached) and a
+//! pure `*_report` half over the folded cells. Each figure's run is that
+//! composition, declared in the experiment table (`figures::EXPERIMENTS`).
 
 use crate::aggregate::StatsCell;
 use crate::figures::shared::{
@@ -15,14 +17,21 @@ use crate::options::Options;
 use crate::shard::GridMeta;
 use crate::summary::Metric;
 
-pub fn fig7_grid(opts: &Options) -> GridMeta {
+/// The grid of Figures 7 and 8.
+pub fn total_grid(opts: &Options) -> GridMeta {
     mac_grid(opts, &[Metric::TotalTimeUs])
+}
+
+/// The grid of Figures 9 and 10.
+pub fn half_grid(opts: &Options) -> GridMeta {
+    mac_grid(opts, &[Metric::HalfTimeUs])
 }
 
 pub fn fig7_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     mac_stats_range(opts, 64, &[Metric::TotalTimeUs], hooks)
 }
 
+/// Figure 7: total time, 64 B payload.
 pub fn fig7_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 7 — total time vs n (MAC sim, 64 B payload)",
@@ -33,19 +42,11 @@ pub fn fig7_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 7: total time, 64 B payload.
-pub fn fig7(opts: &Options) -> Report {
-    fig7_report(opts, &fig7_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig8_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::TotalTimeUs])
-}
-
 pub fn fig8_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     mac_stats_range(opts, 1024, &[Metric::TotalTimeUs], hooks)
 }
 
+/// Figure 8: total time, 1024 B payload (larger packets favour BEB more).
 pub fn fig8_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 8 — total time vs n (MAC sim, 1024 B payload)",
@@ -56,19 +57,12 @@ pub fn fig8_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 8: total time, 1024 B payload (larger packets favour BEB more).
-pub fn fig8(opts: &Options) -> Report {
-    fig8_report(opts, &fig8_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig9_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::HalfTimeUs])
-}
-
 pub fn fig9_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     mac_stats_range(opts, 64, &[Metric::HalfTimeUs], hooks)
 }
 
+/// Figure 9: time until n/2 packets complete, 64 B — stragglers are *not*
+/// the explanation; BEB leads on the first half too.
 pub fn fig9_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 9 — time for n/2 packets vs n (MAC sim, 64 B payload)",
@@ -79,20 +73,11 @@ pub fn fig9_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 9: time until n/2 packets complete, 64 B — stragglers are *not*
-/// the explanation; BEB leads on the first half too.
-pub fn fig9(opts: &Options) -> Report {
-    fig9_report(opts, &fig9_cells(opts, &SweepHooks::none()))
-}
-
-pub fn fig10_grid(opts: &Options) -> GridMeta {
-    mac_grid(opts, &[Metric::HalfTimeUs])
-}
-
 pub fn fig10_cells(opts: &Options, hooks: &SweepHooks) -> Vec<StatsCell> {
     mac_stats_range(opts, 1024, &[Metric::HalfTimeUs], hooks)
 }
 
+/// Figure 10: time until n/2 packets complete, 1024 B.
 pub fn fig10_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     standard_mac_figure_from_cells(
         "Figure 10 — time for n/2 packets vs n (MAC sim, 1024 B payload)",
@@ -103,14 +88,10 @@ pub fn fig10_report(_opts: &Options, cells: &[StatsCell]) -> Report {
     )
 }
 
-/// Figure 10: time until n/2 packets complete, 1024 B.
-pub fn fig10(opts: &Options) -> Report {
-    fig10_report(opts, &fig10_cells(opts, &SweepHooks::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::find;
 
     #[test]
     fn fig7_shows_the_reversal() {
@@ -119,7 +100,7 @@ mod tests {
             threads: Some(2),
             ..Options::default()
         };
-        let r = fig7(&opts);
+        let r = find("fig7").unwrap().run(&opts);
         let pct_line = r.body.lines().find(|l| l.starts_with("vs BEB")).unwrap();
         // The strongly-separated challengers must be *slower* than BEB in
         // total time (LLB sits within noise of BEB at few trials, so it is

@@ -51,7 +51,7 @@
 use crate::aggregate::StatsCell;
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::cli::write_report_artifacts;
-use crate::figures::sharding::{find_shardable, shardable_names, ShardableEntry};
+use crate::figures::sharding::{grid_experiment, ShardableEntry};
 use crate::options::Options;
 use crate::shard::{GridMeta, ShardState};
 use contention_core::algorithm::AlgorithmKind;
@@ -368,12 +368,7 @@ impl Server {
     /// binds the listen socket. No trials run here — workers do that.
     pub fn start(opts: &Options) -> Result<Server, String> {
         let name = &opts.inputs[0];
-        let entry = find_shardable(name).ok_or_else(|| {
-            format!(
-                "{name:?} is not shardable (shardable experiments: {})",
-                shardable_names().join(", ")
-            )
-        })?;
+        let entry = grid_experiment(name)?;
         let out_dir = opts.out_dir.clone().expect("validated at parse time");
         let grid = (entry.grid)(opts);
         let trials_total = grid.cell_count() * grid.trials as usize;

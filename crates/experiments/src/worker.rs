@@ -12,7 +12,7 @@
 //! and a worker that double-runs trials is harmless (the coordinator's
 //! dedup fold discards bit-identical replays).
 
-use crate::figures::sharding::find_shardable;
+use crate::figures::sharding::grid_experiment;
 use crate::figures::shared::SweepHooks;
 use crate::jsonin::Json;
 use crate::options::Options;
@@ -101,12 +101,7 @@ fn decode_lease(body: &str) -> Result<LeaseReply, String> {
 
 /// Runs one lease's trials and returns the artifact to POST back.
 fn run_lease(lease: &Lease, opts: &Options) -> Result<String, String> {
-    let entry = find_shardable(&lease.experiment).ok_or_else(|| {
-        format!(
-            "coordinator leased unknown experiment {:?}",
-            lease.experiment
-        )
-    })?;
+    let entry = grid_experiment(&lease.experiment)?;
     let run_opts = Options {
         full: lease.full,
         trials: Some(lease.trials),
