@@ -17,22 +17,21 @@
 //!
 //! `repro resume <out>` loads the newest valid checkpoint (pointer first,
 //! newest-valid scan as fallback — a torn pointer or artifact is skipped,
-//! never fatal), computes the [`missing_work`] plan, runs *only* those
-//! trials, and merges them into the loaded state. Because the per-trial RNG
-//! is position-addressed, the resumed report is byte-identical to an
-//! uninterrupted run — `tests/checkpoint_resume.rs` pins this against the
-//! committed golden.
+//! never fatal), checks it against this build's grid, runs *only* the
+//! trials it is missing ([`ShardState::missing_work`]), and absorbs them
+//! into the loaded state. Because the per-trial RNG is position-addressed,
+//! the resumed report is byte-identical to an uninterrupted run —
+//! `tests/checkpoint_resume.rs` pins this against the committed golden.
 //!
 //! Checkpoint I/O must never kill the run it protects: a failed write warns
 //! on stderr once and the sweep continues; the next snapshot retries.
 
-use crate::aggregate::{MetricStats, StatsCell};
+use crate::aggregate::MetricStats;
 use crate::fsutil;
 use crate::jsonin::Json;
 use crate::jsonout::{escape, num};
 use crate::shard::{GridMeta, ShardState, SHARD_SUFFIX};
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
-use contention_sim::sched::CostModel;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,19 +71,11 @@ fn seq_of_file(name: &str) -> Option<u64> {
 pub struct CheckpointWriter {
     out_dir: PathBuf,
     ckpt_dir: PathBuf,
-    experiment: String,
-    full: bool,
-    grid: GridMeta,
-    /// Already-recorded state a resume run starts from; merged into every
-    /// checkpoint so a second crash loses nothing.
-    base: Vec<StatsCell>,
-    /// Trials the base already holds (counted per cell as the minimum across
-    /// metric buffers, matching `ShardState::missing`).
-    base_trials: usize,
-    /// Cost-weighted work the base already holds — subtracted from the
-    /// snapshot's work before computing the work *rate*, since the base's
-    /// trials did not run in this process's elapsed time.
-    base_work: f64,
+    /// Already-recorded state every checkpoint starts from — empty for a
+    /// fresh run, the loaded checkpoint for a resume, so a second crash
+    /// loses nothing. Its trials did not run in this process's elapsed
+    /// time, so the sidecar's rates leave them out.
+    base: ShardState,
     /// Next sequence number to write (continues past existing checkpoints).
     seq: AtomicU64,
     warned: AtomicBool,
@@ -115,12 +106,7 @@ impl CheckpointWriter {
         Ok(CheckpointWriter {
             out_dir: out_dir.to_path_buf(),
             ckpt_dir,
-            experiment: experiment.to_string(),
-            full,
-            grid,
-            base: Vec::new(),
-            base_trials: 0,
-            base_work: 0.0,
+            base: ShardState::from_cells(experiment, full, (0, 1), &grid, &[]),
             seq: AtomicU64::new(next_seq),
             warned: AtomicBool::new(false),
         })
@@ -130,10 +116,14 @@ impl CheckpointWriter {
     /// into every future checkpoint, so an interrupted *resume* still
     /// leaves a checkpoint holding everything recorded so far.
     pub fn with_base(mut self, base: ShardState) -> CheckpointWriter {
-        assert_eq!(base.grid, self.grid, "base state must match the run grid");
-        self.base_trials = recorded_trials(&base);
-        self.base = base.into_cells();
-        self.base_work = self.work_of(&self.base);
+        assert_eq!(
+            base.grid, self.base.grid,
+            "base state must match the run grid"
+        );
+        self.base = ShardState {
+            shard: (0, 1),
+            ..base
+        };
         self
     }
 
@@ -142,30 +132,15 @@ impl CheckpointWriter {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Cost-weighted work the given cells hold, in the grid's cost units: a
-    /// trial counts once every metric buffer records it (the
-    /// [`recorded_trials`] rule), weighted by its cell's per-trial cost.
-    fn work_of(&self, cells: &[StatsCell]) -> f64 {
-        cells
-            .iter()
-            .map(|c| {
-                let done = c
-                    .acc
-                    .raw_samples()
-                    .iter()
-                    .map(|s| s.raw().iter().filter(|v| !v.is_nan()).count())
-                    .min()
-                    .unwrap_or(0);
-                done as f64 * self.grid.cost.trial_cost(c.algorithm, c.n)
-            })
-            .sum()
-    }
-
     fn write_snapshot(&self, snap: &SweepSnapshot<MetricStats>) -> Result<(), String> {
-        let cells = merge_cells(&self.grid, &self.base, &snap.cells)?;
-        let state = ShardState::from_cells(&self.experiment, self.full, (0, 1), &self.grid, &cells);
+        let base = &self.base;
+        let mut state = base.clone();
+        state.absorb(
+            ShardState::from_cells(&base.experiment, base.full, (0, 1), &base.grid, &snap.cells),
+            false,
+        )?;
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let name = checkpoint_file_name(&self.experiment, seq);
+        let name = checkpoint_file_name(&base.experiment, seq);
         fsutil::write_atomic(&self.ckpt_dir.join(&name), state.to_json().as_bytes())?;
         fsutil::write_atomic(
             &self.ckpt_dir.join(LATEST_FILE),
@@ -173,16 +148,15 @@ impl CheckpointWriter {
         )?;
         self.prune(seq);
 
-        let trials_done = self.base_trials + snap.completed_trials;
-        let trials_total = self.base_trials + snap.total_trials;
+        let base_trials = base.recorded();
         let elapsed_secs = snap.elapsed.as_secs_f64();
         let rate = guarded_rate(snap.completed_trials as f64, elapsed_secs);
         // ETA from the cost-weighted work rate of *this run's* trials (the
         // base was recorded in an earlier process; its work contributes no
         // rate information): remaining heavy cells weigh in as heavy.
-        let work_done = self.work_of(&cells);
-        let work_total: f64 = self.grid.cell_costs().iter().sum();
-        let work_rate = guarded_rate((work_done - self.base_work).max(0.0), elapsed_secs);
+        let work_done = state.work();
+        let work_total: f64 = base.grid.cell_costs().iter().sum();
+        let work_rate = guarded_rate((work_done - base.work()).max(0.0), elapsed_secs);
         // Remaining work of zero — finished, or a degenerate zero-cost grid
         // — is an ETA of zero regardless of the (possibly unknowable) rate.
         let work_left = (work_total - work_done).max(0.0);
@@ -192,11 +166,11 @@ impl CheckpointWriter {
             guarded_rate(work_left, work_rate)
         };
         let doc = MetricsDoc {
-            experiment: self.experiment.clone(),
-            cells_done: cells.iter().filter(|c| c.acc.is_complete()).count(),
-            cells_total: self.grid.cell_count(),
-            trials_done,
-            trials_total,
+            experiment: base.experiment.clone(),
+            cells_done: state.cells.iter().filter(|c| c.acc.is_complete()).count(),
+            cells_total: base.grid.cell_count(),
+            trials_done: base_trials + snap.completed_trials,
+            trials_total: base_trials + snap.total_trials,
             work_done,
             work_total,
             elapsed_secs,
@@ -266,103 +240,6 @@ fn guarded_rate(numer: f64, denom: f64) -> f64 {
     }
 }
 
-/// Base ∪ fresh, cell-merged into canonical grid order — the reassembly
-/// step shared by checkpoint snapshots (base = the state a resume loaded,
-/// fresh = the in-flight ragged cut) and `repro resume`'s final fold
-/// (fresh = the executed missing-work plan). Cells present in neither are
-/// omitted — the artifact format tolerates missing cells.
-pub fn merge_cells(
-    grid: &GridMeta,
-    base: &[StatsCell],
-    fresh: &[StatsCell],
-) -> Result<Vec<StatsCell>, String> {
-    let mut merged = Vec::new();
-    for &alg in &grid.algorithms {
-        for &n in &grid.ns {
-            let find = |cells: &[StatsCell]| -> Option<MetricStats> {
-                cells
-                    .iter()
-                    .find(|c| c.algorithm == alg && c.n == n)
-                    .map(|c| c.acc.clone())
-            };
-            let acc = match (find(base), find(fresh)) {
-                (Some(mut b), Some(s)) => {
-                    b.try_merge(s)
-                        .map_err(|e| format!("cell ({alg}, n={n}): {e}"))?;
-                    Some(b)
-                }
-                (b, s) => b.or(s),
-            };
-            if let Some(acc) = acc {
-                merged.push(StatsCell {
-                    algorithm: alg,
-                    n,
-                    acc,
-                });
-            }
-        }
-    }
-    Ok(merged)
-}
-
-/// Trials a state has fully recorded, counted per cell as the minimum
-/// across metric buffers (a trial counts only when every metric holds it).
-fn recorded_trials(state: &ShardState) -> usize {
-    state
-        .cells
-        .iter()
-        .map(|cell| {
-            cell.samples
-                .iter()
-                .map(|s| s.iter().filter(|v| !v.is_nan()).count())
-                .min()
-                .unwrap_or(0)
-        })
-        .sum()
-}
-
-/// The resume work plan: for each canonical grid-cell index, the trials the
-/// state has not recorded — exactly the engine's `SweepHooks::missing`
-/// plan. Cells with nothing missing are omitted; a complete state yields an
-/// empty plan.
-///
-/// A trial recorded for only *some* of a cell's metrics cannot have come
-/// from this pipeline (trials record all metrics atomically under the cell
-/// lock) and is rejected as a corrupt artifact rather than re-run — re-running
-/// it would double-record the metrics that are present.
-pub fn missing_work(state: &ShardState) -> Result<Vec<(usize, Vec<u32>)>, String> {
-    let trials = state.grid.trials;
-    let mut plan = Vec::new();
-    let mut index = 0usize;
-    for &alg in &state.grid.algorithms {
-        for &n in &state.grid.ns {
-            let cell = state.cells.iter().find(|c| c.algorithm == alg && c.n == n);
-            let mut missing: Vec<u32> = Vec::new();
-            match cell {
-                None => missing.extend(0..trials),
-                Some(cell) => {
-                    for t in 0..trials as usize {
-                        let holes = cell.samples.iter().filter(|s| s[t].is_nan()).count();
-                        if holes == cell.samples.len() {
-                            missing.push(t as u32);
-                        } else if holes > 0 {
-                            return Err(format!(
-                                "cell ({alg}, n={n}) trial {t} is recorded for only some \
-                                 metrics — corrupt artifact"
-                            ));
-                        }
-                    }
-                }
-            }
-            if !missing.is_empty() {
-                plan.push((index, missing));
-            }
-            index += 1;
-        }
-    }
-    Ok(plan)
-}
-
 /// What [`load_latest`] recovered: the state, its sequence number, and any
 /// recovery warnings the caller should surface (a dangling `latest`
 /// pointer, checkpoints skipped as torn). Warnings are non-fatal by
@@ -416,7 +293,7 @@ pub fn load_latest(out_dir: &Path) -> Result<LoadedCheckpoint, String> {
                     pointer_path.display()
                 )),
                 Some(seq) => match load_checkpoint(&ckpt_dir.join(name)) {
-                    Ok((state, _)) => {
+                    Ok(state) => {
                         return Ok(LoadedCheckpoint {
                             state,
                             seq,
@@ -447,7 +324,7 @@ pub fn load_latest(out_dir: &Path) -> Result<LoadedCheckpoint, String> {
     let mut failures = Vec::new();
     for (seq, path) in found {
         match load_checkpoint(&path) {
-            Ok((state, _)) => {
+            Ok(state) => {
                 return Ok(LoadedCheckpoint {
                     state,
                     seq,
@@ -471,15 +348,15 @@ pub fn load_latest(out_dir: &Path) -> Result<LoadedCheckpoint, String> {
     }
 }
 
-fn load_checkpoint(path: &Path) -> Result<(ShardState, PathBuf), String> {
+fn load_checkpoint(path: &Path) -> Result<ShardState, String> {
     let text =
         fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let state = ShardState::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((state, path.to_path_buf()))
+    ShardState::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// The `metrics.json` document (`sweep_metrics/v2`): a point-in-time view
-/// of a checkpointed run for dashboards and the future work-server.
+/// of a checkpointed or served run for dashboards, re-served verbatim by
+/// the work-server's `GET /metrics`.
 /// Unknown-yet quantities (`trials_per_sec` before any trial lands,
 /// `eta_secs`) are NaN in memory and `null` on disk. v2 added `work_done` /
 /// `work_total` (cost-weighted progress in the grid's cost-model units) and
@@ -570,6 +447,7 @@ impl MetricsDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::StatsCell;
     use crate::summary::Metric;
     use contention_core::algorithm::AlgorithmKind;
     use contention_stats::stream::StreamingSample;
@@ -654,55 +532,6 @@ mod tests {
         let text = r#"{"schema": "bench/v1"}"#;
         let err = MetricsDoc::parse(text).unwrap_err();
         assert!(err.contains("unsupported metrics schema"), "{err}");
-    }
-
-    #[test]
-    fn missing_work_lists_holes_and_rejects_partial_metric_trials() {
-        let grid = tiny_grid();
-        // Cell n=10 complete, n=20 missing trial 1.
-        let state = ShardState::from_cells(
-            "t",
-            false,
-            (0, 1),
-            &grid,
-            &[cell(10, vec![1.0, 2.0]), cell(20, vec![3.0, f64::NAN])],
-        );
-        assert_eq!(missing_work(&state).unwrap(), vec![(1, vec![1])]);
-
-        // A whole cell absent → all its trials missing.
-        let state = ShardState::from_cells("t", false, (0, 1), &grid, &[cell(10, vec![1.0, 2.0])]);
-        assert_eq!(missing_work(&state).unwrap(), vec![(1, vec![0, 1])]);
-
-        // Complete state → empty plan.
-        let state = ShardState::from_cells(
-            "t",
-            false,
-            (0, 1),
-            &grid,
-            &[cell(10, vec![1.0, 2.0]), cell(20, vec![3.0, 4.0])],
-        );
-        assert!(missing_work(&state).unwrap().is_empty());
-
-        // Two metrics, trial recorded for only one → corrupt.
-        let grid2 = GridMeta {
-            metrics: vec![Metric::CwSlots, Metric::Collisions],
-            ns: vec![10],
-            ..tiny_grid()
-        };
-        let torn = StatsCell {
-            algorithm: AlgorithmKind::Beb,
-            n: 10,
-            acc: MetricStats::from_parts(
-                grid2.metrics.clone(),
-                vec![
-                    StreamingSample::from_raw(vec![1.0, f64::NAN]),
-                    StreamingSample::from_raw(vec![1.0, 2.0]),
-                ],
-            ),
-        };
-        let state = ShardState::from_cells("t", false, (0, 1), &grid2, &[torn]);
-        let err = missing_work(&state).unwrap_err();
-        assert!(err.contains("only some"), "{err}");
     }
 
     #[test]

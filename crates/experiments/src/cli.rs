@@ -1,10 +1,15 @@
 //! The `repro` command-line interface.
 //!
 //! ```text
-//! repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json]
-//!       [--threads N]
+//! repro <experiment|all|list|bench> [--full] [--quick] [--trials N]
+//!       [--out DIR] [--json] [--threads N]
 //! repro shard <experiment> --shard i/N --out DIR   # partial-state artifact
 //! repro merge DIR... --out DIR [--json]            # recombine + report
+//! repro <experiment> --checkpoint --out DIR        # crash-safe long run
+//! repro resume DIR [--json]                        # continue from checkpoint
+//! repro serve <experiment> --out DIR [--json] [--port P] [--leases N]
+//!       [--lease-secs S] [--linger-secs S]         # distributed coordinator
+//! repro work --connect HOST:PORT [--threads N]     # pull-based worker
 //! ```
 //!
 //! Default grids are laptop-quick; `--full` switches to the paper's grids
@@ -16,19 +21,21 @@
 //! runs one contiguous cell range of the experiment's grid and writes a
 //! `shard_state/v1` artifact; `merge` validates and merges any number of
 //! such artifacts and emits the **same reports, byte for byte,** as the
-//! single-process run (see `crate::shard`).
+//! single-process run (see `crate::shard`). Checkpointed runs, `resume`
+//! and `serve` fold through the same state and share its reporting tail.
 //!
 //! The actual binary lives in the workspace root package (`src/bin/repro.rs`)
 //! so that a plain `cargo run --bin repro` works from the repository root;
 //! this module holds all of its logic so it stays unit-testable here.
 
 use crate::checkpoint::{self, CheckpointWriter};
-use crate::figures::sharding::grid_experiment;
+use crate::figures::sharding::{grid_experiment, ShardableEntry};
 use crate::figures::shared::SweepHooks;
 use crate::figures::{Report, EXPERIMENTS};
 use crate::options::Options;
 use crate::shard::{load_dir, merge_states, write_state, ShardState};
 use contention_sim::engine::CellRange;
+use contention_sim::monitor::SnapshotCadence;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -129,13 +136,62 @@ pub(crate) fn write_report_artifacts(
     Ok(())
 }
 
-/// `problem`, followed by the first few cells `state` still misses.
-fn incomplete(problem: &str, state: &ShardState) -> String {
-    let mut message = problem.to_string();
-    for missing in state.missing().iter().take(8) {
-        message.push_str(&format!("\n  {missing}"));
+/// The reporting tail of every path that ends in a [`ShardState`] —
+/// checkpointed runs, merge, resume and serve: requires the state complete
+/// (else `problem`, followed by the first few cells it still misses),
+/// builds the experiment's report under the options the state records,
+/// prints it and writes its artifacts into `dir`. Returns what it wrote,
+/// for the caller's closing line.
+pub(crate) fn report_state(
+    state: &ShardState,
+    entry: &ShardableEntry,
+    problem: &str,
+    dir: &Path,
+    json: bool,
+) -> Result<&'static str, String> {
+    if !state.is_complete() {
+        let mut message = problem.to_string();
+        for missing in state.missing().iter().take(8) {
+            message.push_str(&format!("\n  {missing}"));
+        }
+        return Err(message);
     }
-    message
+    let report = (entry.report)(
+        &Options::for_grid(state.full, state.grid.trials),
+        &state.cells,
+    );
+    report.print();
+    write_report_artifacts(&report, dir, json)?;
+    Ok(if json { "CSVs + JSON" } else { "CSVs" })
+}
+
+/// Runs the trials `state` has not recorded — every trial of a fresh
+/// state — and absorbs them, checkpointing into `dir` on `cadence` with
+/// `state` folded into every checkpoint, so an interruption loses nothing.
+fn run_missing(
+    state: &mut ShardState,
+    entry: &ShardableEntry,
+    opts: &Options,
+    dir: &Path,
+    cadence: SnapshotCadence,
+) -> Result<(), String> {
+    let writer = CheckpointWriter::new(dir, &state.experiment, state.full, state.grid.clone())?
+        .with_base(state.clone());
+    let plan = state.missing_work();
+    let hooks = SweepHooks {
+        missing: Some(&plan),
+        monitor: Some((cadence, &writer)),
+        ..SweepHooks::default()
+    };
+    let fresh = (entry.cells)(opts, &hooks);
+    let fresh = ShardState::from_cells(
+        &state.experiment,
+        state.full,
+        state.shard,
+        &state.grid,
+        &fresh,
+    );
+    state.absorb(fresh, false).map(drop)
 }
 
 /// `repro <experiment> --checkpoint[-secs/-trials N] --out DIR`: the normal
@@ -147,21 +203,15 @@ fn run_checkpointed(sub: &str, opts: &Options) -> Result<(), String> {
     let entry = grid_experiment(sub)?;
     let dir = opts.out_dir.as_deref().expect("validated at parse time");
     let cadence = opts.checkpoint.expect("checkpointed run").cadence();
-    let grid = (entry.grid)(opts);
-    let writer = CheckpointWriter::new(dir, entry.name, opts.full, grid)?;
     let started = std::time::Instant::now();
-    let hooks = SweepHooks {
-        monitor: Some((cadence, &writer)),
-        ..SweepHooks::default()
-    };
-    let cells = (entry.cells)(opts, &hooks);
-    let report = (entry.report)(opts, &cells);
-    report.print();
-    write_report_artifacts(&report, dir, opts.json)?;
+    let grid = (entry.grid)(opts);
+    let mut state = ShardState::from_cells(entry.name, opts.full, (0, 1), &grid, &[]);
+    run_missing(&mut state, &entry, opts, dir, cadence)?;
+    let problem = "checkpointed run is incomplete";
+    let wrote = report_state(&state, &entry, problem, dir, opts.json)?;
     println!(
-        "[{}] {} + checkpoints written to {}",
+        "[{}] {wrote} + checkpoints written to {}",
         entry.name,
-        if opts.json { "CSVs + JSON" } else { "CSVs" },
         dir.display()
     );
     println!("[{}] done in {:.1?}\n", entry.name, started.elapsed());
@@ -169,10 +219,11 @@ fn run_checkpointed(sub: &str, opts: &Options) -> Result<(), String> {
 }
 
 /// `repro resume DIR [--json]`: loads the newest valid checkpoint under
-/// `DIR/checkpoints/`, runs only the trials it is missing (per-trial RNG is
-/// position-addressed, so those trials are bit-identical to what the
-/// interrupted run would have produced), merges, and emits the experiment's
-/// reports into `DIR` — byte-identical to an uninterrupted run.
+/// `DIR/checkpoints/`, checks it against this build's grid, runs only the
+/// trials it is missing (per-trial RNG is position-addressed, so those
+/// trials are bit-identical to what the interrupted run would have
+/// produced), absorbs them, and emits the experiment's reports into `DIR` —
+/// byte-identical to an uninterrupted run.
 fn run_resume(opts: &Options) -> Result<(), String> {
     let dir = Path::new(&opts.inputs[0]);
     let loaded = checkpoint::load_latest(dir)?;
@@ -181,63 +232,32 @@ fn run_resume(opts: &Options) -> Result<(), String> {
     for warning in &loaded.warnings {
         eprintln!("warning: {warning}");
     }
-    let (state, seq) = (loaded.state, loaded.seq);
-    let entry = grid_experiment(&state.experiment)?;
-    // Rebuild the grid-shaping options of the original run; --threads may
-    // differ freely — results are independent of it.
-    let run_opts = Options {
-        full: state.full,
-        trials: Some(state.grid.trials),
-        threads: opts.threads,
-        ..Options::default()
-    };
-    let grid = (entry.grid)(&run_opts);
-    if grid != state.grid {
-        return Err(format!(
-            "checkpoint grid does not match {:?}'s current grid \
-             (artifact from a different build?)",
-            state.experiment
-        ));
-    }
-    let plan = checkpoint::missing_work(&state)?;
-    let missing: usize = plan.iter().map(|(_, trials)| trials.len()).sum();
-    let total = grid.cell_count() * grid.trials as usize;
+    let mut state = loaded.state;
+    let entry = state.check_build()?;
+    let total = state.grid.cell_count() * state.grid.trials as usize;
+    let recorded = state.recorded();
     let name = state.experiment.clone();
     println!(
-        "[resume] {name} from checkpoint seq {seq}: {} of {total} trials recorded, \
-         {missing} to run",
-        total - missing
+        "[resume] {name} from checkpoint seq {}: {recorded} of {total} trials recorded, \
+         {} to run",
+        loaded.seq,
+        total - recorded
     );
     let started = std::time::Instant::now();
-    let cells = if plan.is_empty() {
-        state.into_cells()
-    } else {
-        // Re-checkpoint as we go — with the loaded state folded in, so a
-        // second interruption still loses nothing.
-        let writer = CheckpointWriter::new(dir, &name, run_opts.full, grid.clone())?
-            .with_base(state.clone());
-        let cadence = opts.checkpoint.unwrap_or_default().cadence();
-        let hooks = SweepHooks {
-            missing: Some(&plan),
-            monitor: Some((cadence, &writer)),
-            ..SweepHooks::default()
+    if recorded < total {
+        // --threads may differ freely from the original run: results are
+        // independent of it.
+        let run_opts = Options {
+            threads: opts.threads,
+            ..Options::for_grid(state.full, state.grid.trials)
         };
-        let fresh = (entry.cells)(&run_opts, &hooks);
-        checkpoint::merge_cells(&grid, &state.into_cells(), &fresh)?
-    };
-    let reassembled = ShardState::from_cells(&name, run_opts.full, (0, 1), &grid, &cells);
-    if !reassembled.is_complete() {
-        return Err(incomplete(
-            "resumed state is still incomplete — corrupt checkpoint?",
-            &reassembled,
-        ));
+        let cadence = opts.checkpoint.unwrap_or_default().cadence();
+        run_missing(&mut state, &entry, &run_opts, dir, cadence)?;
     }
-    let report = (entry.report)(&run_opts, &cells);
-    report.print();
-    write_report_artifacts(&report, dir, opts.json)?;
+    let problem = "resumed state is still incomplete — corrupt checkpoint?";
+    let wrote = report_state(&state, &entry, problem, dir, opts.json)?;
     println!(
-        "[resume] {name} complete: {} written to {} in {:.1?}",
-        if opts.json { "CSVs + JSON" } else { "CSVs" },
+        "[resume] {name} complete: {wrote} written to {} in {:.1?}",
         dir.display(),
         started.elapsed()
     );
@@ -273,8 +293,9 @@ fn run_shard(opts: &Options) -> Result<(), String> {
 }
 
 /// `repro merge DIR... --out DIR [--json]`: loads every shard artifact in
-/// the given directories, merges them, and emits the experiment's reports
-/// exactly as a single-process `repro <experiment> --out DIR` would.
+/// the given directories, merges them, checks the result against this
+/// build's grid, and emits the experiment's reports exactly as a
+/// single-process `repro <experiment> --out DIR` would.
 fn run_merge(opts: &Options) -> Result<(), String> {
     let mut states = Vec::new();
     for dir in &opts.inputs {
@@ -283,29 +304,13 @@ fn run_merge(opts: &Options) -> Result<(), String> {
     let count = states.len();
     let denominator = states.first().map_or(1, |s| s.shard.1);
     let merged = merge_states(states)?;
-    if !merged.is_complete() {
-        return Err(incomplete(
-            &format!("merged state is incomplete — did you merge all {denominator} shards?"),
-            &merged,
-        ));
-    }
-    let entry = grid_experiment(&merged.experiment)?;
-    // Rebuild the options the report half would have seen in-process; the
-    // artifact records everything execution-independent about the run.
-    let report_opts = Options {
-        full: merged.full,
-        trials: Some(merged.grid.trials),
-        ..Options::default()
-    };
-    let name = merged.experiment.clone();
-    let report = (entry.report)(&report_opts, &merged.into_cells());
-    report.print();
+    let entry = merged.check_build()?;
+    let problem = format!("merged state is incomplete — did you merge all {denominator} shards?");
     let dir = opts.out_dir.as_deref().expect("validated at parse time");
-    write_report_artifacts(&report, dir, opts.json)?;
+    let wrote = report_state(&merged, &entry, &problem, dir, opts.json)?;
     println!(
-        "[merge] {count} artifacts → {} {} written to {}",
-        name,
-        if opts.json { "CSVs + JSON" } else { "CSVs" },
+        "[merge] {count} artifacts → {} {wrote} written to {}",
+        merged.experiment,
         dir.display()
     );
     Ok(())
@@ -370,11 +375,63 @@ fn print_usage() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::aggregate::MetricStats;
+    use crate::figures::sharding::find_shardable;
+    use crate::summary::Metric;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Well-formed but wrong `fig6` artifacts (quick grid, two trials), each
+    /// named: every untrusted entry point must refuse all of them cleanly.
+    pub(crate) fn hostile_fig6_artifacts() -> Vec<(&'static str, String)> {
+        let opts = Options::for_grid(false, 2);
+        let entry = find_shardable("fig6").expect("fig6 is a grid experiment");
+        let grid = (entry.grid)(&opts);
+        let cells = (entry.cells)(&opts, &SweepHooks::none());
+        let good = ShardState::from_cells("fig6", false, (0, 1), &grid, &cells);
+        let text = good.to_json();
+        let mut dropped = good.clone();
+        dropped.grid.metrics = vec![Metric::CwSlots];
+        for cell in &mut dropped.cells {
+            cell.acc = cell.acc.project(&[Metric::CwSlots]);
+        }
+        let mut zero = good;
+        zero.grid.trials = 0;
+        for cell in &mut zero.cells {
+            cell.acc = MetricStats::new(&grid.metrics, 0);
+        }
+        // Unrecord trial 1 of the first cell's first metric only.
+        let buffer = text.find("\"samples\": [[").expect("a cell");
+        let end = buffer + text[buffer..].find(']').expect("a buffer");
+        let last = text[..end].rfind(", ").expect("two trials");
+        vec![
+            (
+                "swapped metric order",
+                text.replace(
+                    "\"half_cw_slots\", \"cw_slots\"",
+                    "\"cw_slots\", \"half_cw_slots\"",
+                ),
+            ),
+            ("dropped metric", dropped.to_json()),
+            (
+                "foreign ns",
+                text.replace(" 150]", " 151]")
+                    .replace("\"n\": 150,", "\"n\": 151,"),
+            ),
+            ("zero trials", zero.to_json()),
+            (
+                "repeated n",
+                text.replace("\"ns\": [10,", "\"ns\": [10, 10,"),
+            ),
+            (
+                "torn trial",
+                format!("{}, null{}", &text[..last], &text[end..]),
+            ),
+        ]
     }
 
     #[test]
@@ -599,6 +656,35 @@ mod tests {
         );
         assert_eq!(read(&direct), read(&ckpt), "resume rebuild diverged");
         for dir in [direct, ckpt] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A `fig6` artifact whose metric names trade places, or which drops
+    /// one metric, describes a grid this build does not run: merge refuses
+    /// it and names the mismatch, instead of reporting swapped columns or
+    /// panicking on the missing metric.
+    #[test]
+    fn merge_rejects_artifacts_off_this_builds_grid() {
+        let hostile = hostile_fig6_artifacts();
+        for (case, text) in hostile.iter().take(2) {
+            let dir = temp_dir(&format!("merge-foreign-{}", case.replace(' ', "-")));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("fig6.s0of1.shardstate.json"), text).unwrap();
+            let out = dir.join("out");
+            let args = strs(&[
+                "merge",
+                dir.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ]);
+            let (_, opts) = Options::parse(&args).unwrap();
+            let err = run_merge(&opts).unwrap_err();
+            assert!(
+                err.contains("artifact grid does not match \"fig6\"'s grid")
+                    && err.contains("metrics ["),
+                "{case}: {err}"
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -162,11 +162,7 @@ mod tests {
             let merged = merge_states(states).expect("compatible shards");
             assert!(merged.is_complete(), "{}", entry.name);
             // The options `repro merge` rebuilds from the artifact.
-            let report_opts = Options {
-                full: merged.full,
-                trials: Some(merged.grid.trials),
-                ..Options::default()
-            };
+            let report_opts = Options::for_grid(merged.full, merged.grid.trials);
             let report = (entry.report)(&report_opts, &merged.into_cells());
             assert_eq!(rendered(&report), rendered(&direct), "{}", entry.name);
         }

@@ -85,6 +85,17 @@ pub struct Options {
 }
 
 impl Options {
+    /// The options a sweep's grid and report are rebuilt under from what an
+    /// artifact or lease records — `--full` and the trial count; nothing
+    /// else an option sets can change a result.
+    pub fn for_grid(full: bool, trials: u32) -> Options {
+        Options {
+            full,
+            trials: Some(trials),
+            ..Options::default()
+        }
+    }
+
     /// Picks between a quick and a full grid value.
     pub fn pick<T: Copy>(&self, quick: T, full: T) -> T {
         if self.full {
@@ -130,7 +141,11 @@ impl Options {
                 "--json" => opts.json = true,
                 "--trials" => {
                     let v = it.next().ok_or("--trials needs a value")?;
-                    opts.trials = Some(v.parse().map_err(|_| format!("bad trial count {v:?}"))?);
+                    let trials: u32 = v.parse().map_err(|_| format!("bad trial count {v:?}"))?;
+                    if trials == 0 {
+                        return Err("--trials must be at least 1".to_string());
+                    }
+                    opts.trials = Some(trials);
                 }
                 "--out" => {
                     let v = it.next().ok_or("--out needs a directory")?;
@@ -493,6 +508,8 @@ mod tests {
         assert!(Options::parse(&strs(&["--full"])).is_err());
         assert!(Options::parse(&strs(&["fig3", "fig4"])).is_err());
         assert!(Options::parse(&strs(&["fig3", "--trials", "abc"])).is_err());
+        let err = Options::parse(&strs(&["fig3", "--trials", "0"])).unwrap_err();
+        assert_eq!(err, "--trials must be at least 1");
     }
 
     #[test]

@@ -48,14 +48,11 @@
 //! flag and wakes the blocked acceptor with one loopback `connect`, then
 //! joins it, so the listen port is free again when [`Server::run`] returns.
 
-use crate::aggregate::StatsCell;
 use crate::checkpoint::{self, CheckpointWriter};
-use crate::cli::write_report_artifacts;
+use crate::cli::report_state;
 use crate::figures::sharding::{grid_experiment, ShardableEntry};
 use crate::options::Options;
-use crate::shard::{GridMeta, ShardState};
-use contention_core::algorithm::AlgorithmKind;
-use contention_core::merge::MergeStats;
+use crate::shard::ShardState;
 use contention_sim::engine::TrialRange;
 use contention_sim::monitor::{SweepMonitor, SweepSnapshot};
 use std::collections::VecDeque;
@@ -235,90 +232,16 @@ impl Semaphore {
 // ---------------------------------------------------------------------------
 
 struct Fold {
-    experiment: String,
-    full: bool,
-    grid: GridMeta,
-    /// Master cells, kept in canonical grid order (cells nothing has
-    /// touched yet are absent, like any partial artifact).
-    cells: Vec<StatsCell>,
+    /// The master state: everything the fleet (and any checkpoint resumed
+    /// from) has delivered.
+    state: ShardState,
     store: JobStore,
-    trials_total: usize,
     accepted_posts: usize,
     duplicate_trials: usize,
     complete: bool,
     /// Set by the acceptor thread when `accept()` fails; [`Server::run`]
     /// returns it.
     accept_error: Option<String>,
-}
-
-impl Fold {
-    /// Trials fully recorded (every metric buffer holds them).
-    fn recorded(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| {
-                c.acc
-                    .raw_samples()
-                    .iter()
-                    .map(|s| s.filled())
-                    .min()
-                    .unwrap_or(0)
-            })
-            .sum()
-    }
-
-    /// Validates and folds one posted artifact; returns the merge tally in
-    /// *trial* units (a trial spans all metrics atomically, enforced by the
-    /// torn-trial check before any fold).
-    fn fold_post(&mut self, posted: ShardState) -> Result<MergeStats, String> {
-        if posted.experiment != self.experiment {
-            return Err(format!(
-                "artifact is for experiment {:?}, this server runs {:?}",
-                posted.experiment, self.experiment
-            ));
-        }
-        if posted.full != self.full || posted.grid != self.grid {
-            return Err(
-                "artifact grid does not match this server's sweep (different \
-                 build or options?)"
-                    .to_string(),
-            );
-        }
-        // A trial recorded for only some metrics cannot have come from
-        // this pipeline; folding it would corrupt the master state.
-        checkpoint::missing_work(&posted)?;
-        let metrics = self.grid.metrics.len().max(1);
-        let mut slots = MergeStats::default();
-        for cell in posted.into_cells() {
-            match self
-                .cells
-                .iter_mut()
-                .find(|c| c.algorithm == cell.algorithm && c.n == cell.n)
-            {
-                Some(mine) => slots.absorb(
-                    mine.acc
-                        .try_merge_dedup(cell.acc)
-                        .map_err(|e| format!("cell ({}, n={}): {e}", cell.algorithm, cell.n))?,
-                ),
-                None => {
-                    slots.fresh += cell
-                        .acc
-                        .raw_samples()
-                        .iter()
-                        .map(|s| s.filled())
-                        .sum::<usize>();
-                    self.cells.push(cell);
-                }
-            }
-        }
-        let grid = self.grid.clone();
-        self.cells
-            .sort_by_key(|c| canonical_position(&grid, c.algorithm, c.n));
-        Ok(MergeStats {
-            fresh: slots.fresh / metrics,
-            duplicates: slots.duplicates / metrics,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -373,30 +296,26 @@ impl Server {
         let grid = (entry.grid)(opts);
         let trials_total = grid.cell_count() * grid.trials as usize;
 
-        // Resume: fold the newest surviving checkpoint in as the starting
-        // master state, if it matches this sweep.
-        let mut cells: Vec<StatsCell> = Vec::new();
+        // Resume: absorb the newest surviving checkpoint as the starting
+        // master state, if it is this sweep's.
+        let mut state = ShardState::from_cells(name, opts.full, (0, 1), &grid, &[]);
         if out_dir.join(checkpoint::CHECKPOINT_DIR).is_dir() {
             match checkpoint::load_latest(&out_dir) {
                 Ok(loaded) => {
                     for warning in &loaded.warnings {
                         eprintln!("warning: {warning}");
                     }
-                    if loaded.state.experiment == *name
-                        && loaded.state.full == opts.full
-                        && loaded.state.grid == grid
-                    {
-                        println!(
+                    match state.absorb(loaded.state, false) {
+                        Ok(_) => println!(
                             "[serve] resuming from checkpoint seq {} ({} trials recorded)",
                             loaded.seq,
-                            checkpoint_recorded(&loaded.state)
-                        );
-                        cells = loaded.state.into_cells();
-                    } else {
-                        eprintln!(
-                            "warning: checkpoint in {} is for a different sweep — starting fresh",
+                            state.recorded()
+                        ),
+                        Err(e) => eprintln!(
+                            "warning: checkpoint in {} is for a different sweep ({e}) — \
+                             starting fresh",
                             out_dir.display()
-                        );
+                        ),
                     }
                 }
                 Err(e) => eprintln!("warning: cannot resume from {}: {e}", out_dir.display()),
@@ -405,8 +324,7 @@ impl Server {
 
         // Cut the *missing* work (everything, on a fresh start) into
         // cost-weighted per-trial leases.
-        let master = ShardState::from_cells(name, opts.full, (0, 1), &grid, &cells);
-        let plan = checkpoint::missing_work(&master)?;
+        let plan = state.missing_work();
         let leases = TrialRange::partition(
             &plan,
             &grid.cell_trial_costs(),
@@ -431,12 +349,8 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 fold: Mutex::new(Fold {
-                    experiment: name.clone(),
-                    full: opts.full,
-                    grid,
-                    cells,
+                    state,
                     store,
-                    trials_total,
                     accepted_posts: 0,
                     duplicate_trials: 0,
                     complete: remaining == 0,
@@ -510,34 +424,23 @@ impl Server {
         Server::start(opts)?.run()
     }
 
-    /// The sweep is complete: flush the final checkpoint and write the
-    /// figure's reports, exactly as `repro merge` would.
+    /// The sweep is complete: write the figure's reports, exactly as
+    /// `repro merge` would.
     fn finalize(&self) -> Result<(), String> {
         let fold = self.shared.fold.lock().expect("fold poisoned");
-        let state =
-            ShardState::from_cells(&fold.experiment, fold.full, (0, 1), &fold.grid, &fold.cells);
-        if !state.is_complete() {
-            return Err("finalize called on an incomplete fold".to_string());
-        }
-        let report_opts = Options {
-            full: fold.full,
-            trials: Some(fold.grid.trials),
-            ..Options::default()
-        };
-        let report = (self.entry.report)(&report_opts, &fold.cells);
         println!(
             "[serve] {} complete: {} posts accepted, {} duplicate trials discarded, \
              {} leases re-issued",
-            fold.experiment, fold.accepted_posts, fold.duplicate_trials, fold.store.reissued
+            fold.state.experiment, fold.accepted_posts, fold.duplicate_trials, fold.store.reissued
         );
-        drop(fold);
-        report.print();
-        write_report_artifacts(&report, &self.out_dir, self.json)?;
-        println!(
-            "[serve] {} written to {}",
-            if self.json { "CSVs + JSON" } else { "CSVs" },
-            self.out_dir.display()
-        );
+        let wrote = report_state(
+            &fold.state,
+            &self.entry,
+            "finalize called on an incomplete fold",
+            &self.out_dir,
+            self.json,
+        )?;
+        println!("[serve] {wrote} written to {}", self.out_dir.display());
         Ok(())
     }
 }
@@ -562,35 +465,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             Err(e) => return shared.accept_failed(&e),
         }
     }
-}
-
-/// A cell's index in canonical grid order (algorithm-major, n-minor).
-fn canonical_position(grid: &GridMeta, alg: AlgorithmKind, n: u32) -> usize {
-    let a = grid
-        .algorithms
-        .iter()
-        .position(|&x| x == alg)
-        .expect("cell algorithm validated against the grid");
-    let i = grid
-        .ns
-        .iter()
-        .position(|&x| x == n)
-        .expect("cell n validated against the grid");
-    a * grid.ns.len() + i
-}
-
-fn checkpoint_recorded(state: &ShardState) -> usize {
-    state
-        .cells
-        .iter()
-        .map(|c| {
-            c.samples
-                .iter()
-                .map(|s| s.iter().filter(|v| !v.is_nan()).count())
-                .min()
-                .unwrap_or(0)
-        })
-        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -739,9 +613,9 @@ fn lease_response(shared: &Shared) -> (u16, String) {
                 format!(
                     "{{\"status\":\"lease\",\"id\":{id},\"experiment\":{},\"full\":{},\
                      \"trials\":{},\"work\":[{}]}}",
-                    json_str(&fold.experiment),
-                    fold.full,
-                    fold.grid.trials,
+                    json_str(&fold.state.experiment),
+                    fold.state.full,
+                    fold.state.grid.trials,
                     ranges.join(",")
                 ),
             )
@@ -772,15 +646,16 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
         // all duplicates by construction. Nothing to fold.
         return (200, "{\"status\":\"done\"}".to_string());
     }
-    let stats = match fold.fold_post(posted) {
+    let stats = match fold.state.absorb(posted, true) {
         Ok(stats) => stats,
         Err(e) => return (409, error_body(&e)),
     };
     fold.store.complete(id, Instant::now());
     fold.accepted_posts += 1;
     fold.duplicate_trials += stats.duplicates;
-    let recorded = fold.recorded();
-    let remaining = fold.trials_total - recorded;
+    let recorded = fold.state.recorded();
+    let total = fold.state.grid.cell_count() * fold.state.grid.trials as usize;
+    let remaining = total - recorded;
     fold.complete = remaining == 0;
     if fold.complete {
         shared.wake.notify_all();
@@ -792,9 +667,9 @@ fn result_response(shared: &Shared, id: u64, body: &str) -> (u16, String) {
     // other's renames, and serializing here also keeps checkpoint seq
     // order identical to fold order.
     let snapshot = SweepSnapshot {
-        cells: fold.cells.clone(),
+        cells: fold.state.cells.clone(),
         completed_trials: recorded,
-        total_trials: fold.trials_total,
+        total_trials: total,
         elapsed: shared.started.elapsed(),
         workers: fold.store.active_count().max(1),
         finished: fold.complete,
@@ -862,10 +737,9 @@ pub fn http_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::MetricStats;
-    use crate::figures::sharding::find_shardable;
-    use crate::figures::shared::SweepHooks;
+    use crate::cli::tests::hostile_fig6_artifacts;
     use crate::jsonin::Json;
+    use std::process::ExitCode;
 
     fn lease(cell: usize, lo: u32, hi: u32) -> Vec<TrialRange> {
         vec![TrialRange { cell, lo, hi }]
@@ -907,90 +781,13 @@ mod tests {
         assert!(store.done.is_empty());
     }
 
-    #[test]
-    fn fold_post_rejects_foreign_grids_and_conflicting_duplicates() {
-        let entry = find_shardable("fig5").unwrap();
-        let opts = Options {
-            trials: Some(2),
-            ..Options::default()
-        };
-        let grid = (entry.grid)(&opts);
-        let mut fold = Fold {
-            experiment: "fig5".into(),
-            full: false,
-            grid: grid.clone(),
-            cells: Vec::new(),
-            store: JobStore::new(Vec::new(), Duration::from_secs(1)),
-            trials_total: grid.cell_count() * grid.trials as usize,
-            accepted_posts: 0,
-            duplicate_trials: 0,
-            complete: false,
-            accept_error: None,
-        };
-
-        // Run trials {0} of every cell, twice over — the straggler +
-        // re-issue shape. First POST is all fresh, identical second POST is
-        // all duplicates, and the master state is unchanged by the replay.
-        let plan: Vec<(usize, Vec<u32>)> =
-            (0..grid.cell_count()).map(|c| (c, vec![0u32])).collect();
-        let hooks = SweepHooks {
-            missing: Some(&plan),
-            ..SweepHooks::default()
-        };
-        let cells = (entry.cells)(&opts, &hooks);
-        let posted = ShardState::from_cells("fig5", false, (0, 1), &grid, &cells);
-        let replay = ShardState::parse(&posted.to_json()).unwrap();
-
-        let first = fold.fold_post(posted).unwrap();
-        assert_eq!(first.fresh, grid.cell_count());
-        assert_eq!(first.duplicates, 0);
-        let before = ShardState::from_cells("fig5", false, (0, 1), &grid, &fold.cells).to_json();
-        let second = fold.fold_post(replay).unwrap();
-        assert_eq!(second.fresh, 0);
-        assert_eq!(second.duplicates, grid.cell_count());
-        let after = ShardState::from_cells("fig5", false, (0, 1), &grid, &fold.cells).to_json();
-        assert_eq!(before, after, "a replay must not change the master state");
-
-        // A conflicting duplicate (same slot, different bits) is rejected.
-        let mut tampered = fold.cells.clone();
-        let mut raw: Vec<Vec<f64>> = tampered[0]
-            .acc
-            .raw_samples()
-            .iter()
-            .map(|s| s.raw().to_vec())
-            .collect();
-        for buf in &mut raw {
-            if !buf[0].is_nan() {
-                buf[0] += 1.0;
-            }
-        }
-        tampered[0].acc = MetricStats::from_parts(
-            grid.metrics.clone(),
-            raw.into_iter()
-                .map(contention_stats::stream::StreamingSample::from_raw)
-                .collect(),
-        );
-        let conflicting = ShardState::from_cells("fig5", false, (0, 1), &grid, &tampered[..1]);
-        let err = fold.fold_post(conflicting).unwrap_err();
-        assert!(err.contains("conflicting"), "{err}");
-
-        // A wrong-experiment artifact never folds.
-        let foreign_entry = find_shardable("fig3").unwrap();
-        let foreign_grid = (foreign_entry.grid)(&opts);
-        let foreign = ShardState::from_cells("fig3", false, (0, 1), &foreign_grid, &[]);
-        let err = fold
-            .fold_post(ShardState::parse(&foreign.to_json()).unwrap())
-            .unwrap_err();
-        assert!(err.contains("fig3"), "{err}");
-    }
-
-    /// A bound fig5 coordinator (two trials, ephemeral port) over a fresh
-    /// out-dir, which the caller removes.
-    fn fig5_server(tag: &str) -> (Server, PathBuf) {
+    /// A bound coordinator for `experiment` (two trials, ephemeral port)
+    /// over a fresh out-dir, which the caller removes.
+    fn two_trial_server(experiment: &str, tag: &str) -> (Server, PathBuf) {
         let dir = std::env::temp_dir().join(format!("repro-server-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let opts = Options {
-            inputs: vec!["fig5".to_string()],
+            inputs: vec![experiment.to_string()],
             trials: Some(2),
             out_dir: Some(dir.clone()),
             port: Some(0),
@@ -1020,7 +817,7 @@ mod tests {
 
     #[test]
     fn hostile_requests_get_clean_client_errors() {
-        let (server, dir) = fig5_server("hostile");
+        let (server, dir) = two_trial_server("fig5", "hostile");
         let over_cap = format!(
             "POST /result/0 HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
@@ -1116,7 +913,7 @@ mod tests {
 
     #[test]
     fn an_accept_failure_ends_run_with_its_error() {
-        let (server, dir) = fig5_server("accept");
+        let (server, dir) = two_trial_server("fig5", "accept");
         let shared = Arc::clone(&server.shared);
         let running = std::thread::spawn(move || server.run());
         shared.accept_failed(&std::io::Error::other("injected"));
@@ -1125,6 +922,56 @@ mod tests {
             Err("accept failed: injected".to_string())
         );
         assert!(!shared.fold.lock().unwrap().complete);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every well-formed-but-wrong artifact is refused cleanly — exit 1 or
+    /// a 4xx, never a panic or a report — by each entry point that reads
+    /// untrusted state: `repro merge`, `repro resume` (the artifact
+    /// installed as the newest checkpoint) and the coordinator's
+    /// `POST /result/<id>`.
+    #[test]
+    fn hostile_artifacts_are_refused_at_every_entry_point() {
+        let (server, dir) = two_trial_server("fig6", "hostile-artifacts");
+        let run = |args: &[&std::path::Path]| {
+            let args: Vec<String> = args
+                .iter()
+                .map(|a| a.to_str().unwrap().to_string())
+                .collect();
+            crate::cli::run(&args)
+        };
+        for (case, text) in hostile_fig6_artifacts() {
+            let case_dir = dir.join(case.replace(' ', "-"));
+            let shards = case_dir.join("shards");
+            std::fs::create_dir_all(&shards).unwrap();
+            std::fs::write(shards.join("fig6.s0of1.shardstate.json"), &text).unwrap();
+            let out = case_dir.join("merged");
+            let merge = [
+                std::path::Path::new("merge"),
+                &shards,
+                "--out".as_ref(),
+                &out,
+            ];
+            assert_eq!(run(&merge), ExitCode::FAILURE, "merge accepted {case}");
+            assert!(!out.join("fig6_half_cw_slots_64.csv").exists(), "{case}");
+
+            let resumed = case_dir.join("resume");
+            let ckpt = resumed.join(checkpoint::CHECKPOINT_DIR);
+            std::fs::create_dir_all(&ckpt).unwrap();
+            let name = checkpoint::checkpoint_file_name("fig6", 0);
+            std::fs::write(ckpt.join(&name), &text).unwrap();
+            std::fs::write(ckpt.join(checkpoint::LATEST_FILE), format!("{name}\n")).unwrap();
+            let resume = ["resume".as_ref(), resumed.as_path()];
+            assert_eq!(run(&resume), ExitCode::FAILURE, "resume accepted {case}");
+
+            let post = format!(
+                "POST /result/0 HTTP/1.1\r\nContent-Length: {}\r\n\r\n{text}",
+                text.len()
+            );
+            let (line, error) = exchange(&server.shared, post.as_bytes());
+            assert!(line.starts_with("HTTP/1.1 4"), "{case}: {line}: {error}");
+        }
+        assert_eq!(server.shared.fold.lock().unwrap().state.recorded(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -103,10 +103,8 @@ fn decode_lease(body: &str) -> Result<LeaseReply, String> {
 fn run_lease(lease: &Lease, opts: &Options) -> Result<String, String> {
     let entry = grid_experiment(&lease.experiment)?;
     let run_opts = Options {
-        full: lease.full,
-        trials: Some(lease.trials),
         threads: opts.threads,
-        ..Options::default()
+        ..Options::for_grid(lease.full, lease.trials)
     };
     let grid = (entry.grid)(&run_opts);
     for &(cell, _) in &lease.plan {
