@@ -2,7 +2,12 @@
 //! machines without `perf`: times the real arena-reusing trials next to the
 //! irreducible floor (raw generator throughput for the same draw count), so
 //! a perf session can see at a glance how much headroom the loop still has.
-//! Run with
+//!
+//! The n = 10⁶ rows run BEB and STB through both instantiations of the
+//! window loop — per-station (`run`, the full `BatchMetrics`) and aggregate
+//! (`summarize`, what every sweep's summary fold runs) — and print
+//! ns/attempt next to the bare generator's ns/word for exactly the words
+//! that trial draws. Run with
 //! `cargo run --release -p contention-experiments --example profile_windowed`.
 
 use contention_core::algorithm::AlgorithmKind;
@@ -44,6 +49,88 @@ where
     println!("{label:<28} {per_trial:>12.0} ns/trial");
 }
 
+/// Counts the raw words a trial draws, so the floor below is measured for
+/// exactly that volume.
+struct CountingRng<R> {
+    inner: R,
+    words: u64,
+}
+
+impl<R: RngCore> RngCore for CountingRng<R> {
+    fn next_u64(&mut self) -> u64 {
+        self.words += 1;
+        self.inner.next_u64()
+    }
+}
+
+/// Nanoseconds for the bare generator to produce `words` words (best of 3).
+fn bare_rng_ns(words: u64) -> f64 {
+    let mut rng = trial_rng(experiment_tag("bench-windowed"), AlgorithmKind::Beb, 1, 0);
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            let mut acc = 0u64;
+            for _ in 0..words {
+                acc = acc.wrapping_add(rng.next_u64());
+            }
+            black_box(acc);
+            t.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Best-of-`reps` nanoseconds of `trial` (after one warm-up call).
+fn best_ns(reps: u32, mut trial: impl FnMut()) -> f64 {
+    trial();
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            trial();
+            t.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// One n = 10⁶ trial of the `scale` stream through both instantiations.
+fn large_n(kind: AlgorithmKind) {
+    const N: u32 = 1_000_000;
+    let config = NoisyConfig::fatal(kind);
+    let mut sim = NoisySim::new(config);
+    let rng = || trial_rng(experiment_tag("scale"), kind, N, 0);
+
+    let mut counting = CountingRng {
+        inner: rng(),
+        words: 0,
+    };
+    let summary = sim.summarize(N, &mut counting);
+    // Every alive station attempts once per window: the successes plus one
+    // ACK timeout per failed attempt.
+    let attempts = summary.successes as f64 + summary.ack_timeouts;
+    let words = counting.words;
+
+    let per_station = best_ns(3, || {
+        black_box(sim.run(N, &mut rng()));
+    });
+    let aggregate = best_ns(3, || {
+        black_box(sim.summarize(N, &mut rng()));
+    });
+    let floor = bare_rng_ns(words);
+    for (label, ns) in [("per-station", per_station), ("aggregate", aggregate)] {
+        println!(
+            "{kind} n=1e6 {label:<12} {:>8.1} ms  {:>6.1} M attempts  {:>6.2} ns/attempt",
+            ns / 1e6,
+            attempts / 1e6,
+            ns / attempts,
+        );
+    }
+    println!(
+        "{kind} n=1e6 bare RNG     {:>8.1} ms  {:>6.1} M words     {:>6.2} ns/word",
+        floor / 1e6,
+        words as f64 / 1e6,
+        floor / words as f64,
+    );
+}
+
 fn main() {
     // The real trials, arena-reused, same shape as `repro bench`.
     time_trials::<WindowedSim>(
@@ -72,19 +159,14 @@ fn main() {
     // 2n − (successes spread over ~log n windows) ≈ 1.47n·10 words for
     // n = 1e4 empirically; measure the raw generator at that volume so the
     // trial numbers above can be read as "floor + everything else".
-    let mut rng = trial_rng(experiment_tag("bench-windowed"), AlgorithmKind::Beb, 1, 0);
     const WORDS: u64 = 147_000;
-    let t = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..40 {
-        for _ in 0..WORDS {
-            acc = acc.wrapping_add(rng.next_u64());
-        }
-    }
-    black_box(acc);
-    let per_batch = t.elapsed().as_nanos() as f64 / 40.0;
+    let per_batch = bare_rng_ns(WORDS);
     println!(
         "raw xoshiro, {WORDS} words    {per_batch:>12.0} ns  ({:.2} ns/word)",
         per_batch / WORDS as f64
     );
+
+    // The large-n regime `scale` and fig15 live in.
+    large_n(AlgorithmKind::Beb);
+    large_n(AlgorithmKind::Sawtooth);
 }

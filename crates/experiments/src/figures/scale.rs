@@ -6,9 +6,13 @@
 //! stream-and-fold path: trials are claimed in tapered runs from an
 //! on-the-fly cursor and each trial folds into flat per-metric buffers
 //! ([`MetricStats`]), so a cell retains `trials × metrics × 8` bytes no
-//! matter how large `n` gets. The default grid reaches the paper's n = 10⁵;
-//! `--full` extends it to 10⁶ — a regime the collect-everything pipeline
-//! was never asked to survive.
+//! matter how large `n` gets. The trial itself is summary-direct: a
+//! summary fold runs the window loop's aggregate instantiation, which keeps
+//! only slot occupancy and the alive count — no per-station table, so a
+//! trial's memory is bounded by its widest window, not by `n` stations ×
+//! 40 B. The default grid reaches the paper's n = 10⁵; `--full` extends it
+//! to 10⁶ — a regime the collect-everything pipeline was never asked to
+//! survive.
 //!
 //! BEB vs STB is the headline pair out here: Θ(n lg n) vs Θ(n) CW slots
 //! (Table II), so the gap must widen with n.

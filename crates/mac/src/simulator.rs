@@ -262,6 +262,8 @@ impl contention_sim::engine::Simulator for MacSim {
     }
 }
 
+contention_sim::raw_trial_value!(MacSim);
+
 impl From<MacRun> for contention_sim::summary::TrialSummary {
     fn from(run: MacRun) -> contention_sim::summary::TrialSummary {
         contention_sim::summary::TrialSummary::from_metrics(&run.metrics)

@@ -6,8 +6,9 @@
 //! loops on top. The engine collapses all of that into:
 //!
 //! * [`Simulator`] — how to run one trial of a backend: an associated
-//!   `Config`, an associated raw `Output`, and a pure
-//!   `run(config, n, rng) -> Output` function.
+//!   `Config`, an associated raw `Output`, a pure
+//!   `run(config, n, rng) -> Output` function, and `summarize_with`, the
+//!   trial reduced to a [`TrialSummary`] (a backend may tally it directly).
 //! * [`run_trial`] — one trial with the canonical
 //!   `(experiment tag, algorithm, n, trial)` RNG derivation. Every trial in
 //!   the repository — sweeps, figures, benches — goes through this
@@ -35,6 +36,7 @@
 use crate::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
 use crate::parallel::{parallel_for_tapered, TaperSchedule};
 use crate::progress::Progress;
+use crate::summary::TrialSummary;
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::rng::{experiment_tag, trial_rng};
 use rand::rngs::SmallRng;
@@ -61,10 +63,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub trait Simulator {
     /// Full per-trial configuration, including the algorithm under test.
     type Config: Clone + Send + Sync;
-    /// Raw per-trial output. [`Sweep::run_fold`] converts it (via `From`)
-    /// to whatever its accumulators record: itself, or a
-    /// [`TrialSummary`](crate::summary::TrialSummary) for backends with
-    /// that conversion.
+    /// Raw per-trial output. [`Sweep::run_fold`] folds either it or a
+    /// [`TrialSummary`] (for backends whose output converts to one) — see
+    /// [`TrialValue`].
     type Output: Send;
     /// Reusable per-worker scratch arena: event queues, station tables,
     /// occupancy buffers — everything a trial needs that is not part of its
@@ -98,6 +99,65 @@ pub trait Simulator {
     fn run(config: &Self::Config, n: u32, rng: &mut SmallRng) -> Self::Output {
         Self::run_with(config, n, rng, &mut Self::Scratch::default())
     }
+
+    /// One trial reduced to its [`TrialSummary`]: what every summary fold of
+    /// a sweep runs. The default converts [`run_with`](Self::run_with)'s
+    /// output; a backend may override it to tally the summary directly, but
+    /// the result must equal that conversion bit for bit, from the same RNG
+    /// stream.
+    fn summarize_with(
+        config: &Self::Config,
+        n: u32,
+        rng: &mut SmallRng,
+        scratch: &mut Self::Scratch,
+    ) -> TrialSummary
+    where
+        Self::Output: Into<TrialSummary>,
+    {
+        Self::run_with(config, n, rng, scratch).into()
+    }
+}
+
+/// What [`Sweep::run_fold`] can fold a trial of `S` as, and how to produce
+/// it: a [`TrialSummary`] through [`Simulator::summarize_with`] (for any
+/// backend whose output converts to one), or the backend's raw `Output`
+/// through [`Simulator::run_with`] (one
+/// [`raw_trial_value!`](crate::raw_trial_value) line per backend).
+pub trait TrialValue<S: Simulator>: Sized {
+    /// One trial of `n` stations in this form.
+    fn run_with(config: &S::Config, n: u32, rng: &mut SmallRng, scratch: &mut S::Scratch) -> Self;
+}
+
+impl<S: Simulator> TrialValue<S> for TrialSummary
+where
+    S::Output: Into<TrialSummary>,
+{
+    fn run_with(
+        config: &S::Config,
+        n: u32,
+        rng: &mut SmallRng,
+        scratch: &mut S::Scratch,
+    ) -> TrialSummary {
+        S::summarize_with(config, n, rng, scratch)
+    }
+}
+
+/// Implements [`TrialValue`] for each listed backend's raw `Output`, so a
+/// sweep can fold (and [`Slots`] can keep) the untouched output.
+#[macro_export]
+macro_rules! raw_trial_value {
+    ($($sim:ty),+ $(,)?) => {$(
+        impl $crate::engine::TrialValue<$sim> for <$sim as $crate::engine::Simulator>::Output {
+            fn run_with(
+                config: &<$sim as $crate::engine::Simulator>::Config,
+                n: u32,
+                rng: &mut ::rand::rngs::SmallRng,
+                scratch: &mut <$sim as $crate::engine::Simulator>::Scratch,
+            ) -> Self {
+                <$sim as $crate::engine::Simulator>::run_with(config, n, rng, scratch)
+            }
+        }
+    )+};
 }
 
 /// Runs a single trial with the canonical RNG derivation.
@@ -499,19 +559,18 @@ impl<S: Simulator> Sweep<S> {
         }
     }
 
-    /// Runs the grid — or the part of it `hooks` selects — converting each
-    /// raw output to `T` and folding it into its cell's accumulator, both
-    /// inside the worker; the conversion happens outside the cell lock.
-    /// Accumulators are built by `init(algorithm, n, trials)`; nothing
-    /// per-trial survives beyond what they retain. Cells come back in grid
-    /// order (plan order for a `missing` plan).
+    /// Runs the grid — or the part of it `hooks` selects — producing each
+    /// trial as `T` and folding it into its cell's accumulator, both inside
+    /// the worker; the trial runs outside the cell lock. Accumulators are
+    /// built by `init(algorithm, n, trials)`; nothing per-trial survives
+    /// beyond what they retain. Cells come back in grid order (plan order
+    /// for a `missing` plan).
     ///
     /// Fold into [`Slots`] to keep every trial's value, and pick `T` as the
-    /// backend's raw `Output` or as
-    /// [`TrialSummary`](crate::summary::TrialSummary).
+    /// backend's raw `Output` or as [`TrialSummary`] (see [`TrialValue`]).
     pub fn run_fold<T, A, I>(&self, mut init: I, hooks: &SweepHooks<'_, A>) -> Vec<FoldedCell<A>>
     where
-        T: From<S::Output>,
+        T: TrialValue<S>,
         A: Accumulator<T> + Clone + Send,
         I: FnMut(AlgorithmKind, u32, u32) -> A,
     {
@@ -630,7 +689,7 @@ impl<S: Simulator> Sweep<S> {
                     let (alg, n) = grid[cell_index];
                     let config = S::with_algorithm(&base, alg);
                     let mut rng = trial_rng(tag, alg, n, trial);
-                    let value = T::from(S::run_with(&config, n, &mut rng, scratch));
+                    let value = T::run_with(&config, n, &mut rng, scratch);
                     lock(&accumulators[cell_index]).record(trial, value);
                     progress.tick();
                 }
@@ -771,7 +830,6 @@ pub fn folded<A>(cells: &[FoldedCell<A>], alg: AlgorithmKind, n: u32) -> &Folded
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::TrialSummary;
     use contention_core::metrics::BatchMetrics;
     use rand::Rng;
 
@@ -818,6 +876,8 @@ mod tests {
             }
         }
     }
+
+    crate::raw_trial_value!(ToySim, ScratchySim);
 
     fn toy_sweep(exec: ExecPolicy) -> Sweep<ToySim> {
         Sweep::<ToySim> {

@@ -43,7 +43,7 @@ pub mod summary;
 
 pub use engine::{
     folded, run_trial, Accumulator, CellRange, ExecPolicy, FoldedCell, MergeableAccumulator,
-    Simulator, Slots, Sweep, SweepHooks,
+    Simulator, Slots, Sweep, SweepHooks, TrialValue,
 };
 pub use event::{EventQueue, EventToken};
 pub use monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};

@@ -2,11 +2,15 @@
 //!
 //! Every simulator's raw output converts into a [`TrialSummary`] (via
 //! `From`), so the generic [`crate::engine::Sweep`] can aggregate trials
-//! from any simulator uniformly. The conversion happens *inside* the worker
+//! from any simulator uniformly. The summary is made *inside* the worker
 //! thread, so large per-station vectors are dropped before results are
-//! collected and big abstract sweeps stay memory-light.
+//! collected and big abstract sweeps stay memory-light; the windowed
+//! backends go further and tally it directly
+//! ([`Simulator::summarize_with`](crate::engine::Simulator::summarize_with)),
+//! never building the per-station vectors at all.
 
 use contention_core::metrics::BatchMetrics;
+use contention_core::time::Nanos;
 
 /// Everything a figure might plot, extracted from one trial.
 ///
@@ -48,6 +52,24 @@ pub struct TrialSummary {
 impl TrialSummary {
     /// Extracts the summary, dropping the per-station detail.
     pub fn from_metrics(m: &BatchMetrics) -> TrialSummary {
+        TrialSummary::from_totals(
+            m,
+            m.total_ack_timeouts(),
+            m.max_ack_timeouts(),
+            m.max_ack_timeout_time(),
+        )
+    }
+
+    /// The summary of `m`'s scalar fields plus the three per-station
+    /// statistics, supplied by a caller that tallied them without a station
+    /// table (`m.stations` is not read): total ACK timeouts, the most any
+    /// one station took, and that station's ACK-timeout time.
+    pub fn from_totals(
+        m: &BatchMetrics,
+        ack_timeouts: u64,
+        max_ack_timeouts: u32,
+        max_ack_timeout_time: Nanos,
+    ) -> TrialSummary {
         TrialSummary {
             n: m.n,
             successes: m.successes,
@@ -57,9 +79,9 @@ impl TrialSummary {
             half_time_us: m.half_time.as_micros_f64(),
             collisions: m.collisions as f64,
             colliding_stations: m.colliding_stations as f64,
-            ack_timeouts: m.total_ack_timeouts() as f64,
-            max_ack_timeouts: m.max_ack_timeouts() as f64,
-            max_ack_timeout_time_us: m.max_ack_timeout_time().as_micros_f64(),
+            ack_timeouts: ack_timeouts as f64,
+            max_ack_timeouts: max_ack_timeouts as f64,
+            max_ack_timeout_time_us: max_ack_timeout_time.as_micros_f64(),
             ..TrialSummary::default()
         }
     }
@@ -222,7 +244,6 @@ impl Metric {
 mod tests {
     use super::*;
     use contention_core::metrics::StationMetrics;
-    use contention_core::time::Nanos;
 
     fn metrics() -> BatchMetrics {
         BatchMetrics {

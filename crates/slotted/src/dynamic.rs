@@ -1033,6 +1033,8 @@ impl contention_sim::engine::Simulator for DynamicSim {
     }
 }
 
+contention_sim::raw_trial_value!(DynamicSim);
+
 #[cfg(test)]
 mod tests {
     use super::*;

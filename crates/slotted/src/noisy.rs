@@ -16,6 +16,12 @@
 //! [`crate::windowed::WindowedSim`] is implemented as a delegation to this
 //! loop over [`ChannelModel::ideal`], and why the workspace's
 //! degenerate-equality regression tests can demand bit-identity.
+//!
+//! The loop has two instantiations: the per-station one behind
+//! [`NoisySim::run`] and `Simulator::run_with` (the full [`BatchMetrics`]),
+//! and the aggregate one behind [`NoisySim::summarize`] and
+//! `Simulator::summarize_with` — what every summary fold of a sweep runs —
+//! which keeps only the alive count and the slot occupancy.
 
 use contention_core::algorithm::AlgorithmKind;
 use contention_core::channel::{ChannelModel, SlotFate};
@@ -24,6 +30,7 @@ use contention_core::rng::DrawBuffer;
 use contention_core::schedule::{Schedule, Truncation, WindowSchedule};
 use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
+use contention_sim::summary::TrialSummary;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -97,19 +104,21 @@ pub struct NoisyScratch {
     /// it would alias stale stamps); on the 2³²-window wraparound the whole
     /// buffer is cleared once instead.
     epoch: u32,
+    /// Per-station runs: the alive stations' ids, in draw order.
     alive: Vec<u32>,
     /// Slot drawn by each alive station this window (alive order; the
     /// drawer of entry `i` is `alive[i]`, which compaction reads first).
-    /// Power-of-two windows skip this buffer and re-derive slots from the
-    /// raw words directly.
+    /// Aggregate runs fill it only on sparse and sampled windows.
     slots: Vec<u32>,
-    /// Per-station backoff-slot accumulators, station-indexed. The only
-    /// per-station state the hot loop touches: `attempts`/`ack_timeouts`
-    /// need no accumulator, because a station attempts every window until
-    /// it exits by winning — both counts derive from its exit window.
+    /// Per-station runs: backoff-slot accumulators, station-indexed. The
+    /// only per-station state the hot loop touches: `attempts`/
+    /// `ack_timeouts` need no accumulator, because a station attempts every
+    /// window until it exits by winning — both counts derive from its exit
+    /// window.
     backoff: Vec<u64>,
-    /// Success slots of a window that may cross the half-`n` target
-    /// (unsorted; the crossing window selects its k-th smallest once).
+    /// Success slots of a window that may cross the half-`n` target or
+    /// finish the batch (unsorted; the crossing window selects its k-th
+    /// smallest once).
     window_successes: Vec<u32>,
     /// Sampled path: `(slot << 32) | draw index`, grouped ascending — packed
     /// so plain `u64` order is exactly (slot, draw order).
@@ -123,7 +132,8 @@ pub struct NoisyScratch {
     /// |seen| − |dup|, colliding stations = alive − singletons.
     seen: Vec<u64>,
     dup: Vec<u64>,
-    /// Which draws won their slot, for the classify/compaction pass.
+    /// Per-station runs: which draws won their slot, for the
+    /// classify/compaction pass.
     won: Vec<bool>,
     /// Batched raw RNG words for the per-window draw pass.
     buf: DrawBuffer,
@@ -183,7 +193,7 @@ impl NoisySim {
 
     /// Runs one single-batch trial of `n` stations.
     pub fn run<R: Rng>(&mut self, n: u32, rng: &mut R) -> BatchMetrics {
-        self.run_inner(n, rng, false)
+        self.run_inner::<PerStation, R>(n, rng, false).metrics
     }
 
     /// Runs one trial forcing the sampled (channel-grouping) resolution path
@@ -192,12 +202,29 @@ impl NoisySim {
     /// choice — which is exactly what the workspace's path-equality golden
     /// and proptests use this seam to demand.
     pub fn run_sampled<R: Rng>(&mut self, n: u32, rng: &mut R) -> BatchMetrics {
-        self.run_inner(n, rng, true)
+        self.run_inner::<PerStation, R>(n, rng, true).metrics
     }
 
-    fn run_inner<R: Rng>(&mut self, n: u32, rng: &mut R, force_sampled: bool) -> BatchMetrics {
+    /// [`run`](Self::run) reduced to its [`TrialSummary`] by the aggregate
+    /// instantiation of the window loop: the same draws, no per-station
+    /// state. Equals `TrialSummary::from(self.run(n, rng))` bit for bit.
+    pub fn summarize<R: Rng>(&mut self, n: u32, rng: &mut R) -> TrialSummary {
+        self.run_inner::<Aggregate, R>(n, rng, false).summary()
+    }
+
+    /// [`run_sampled`](Self::run_sampled) reduced the same way.
+    pub fn summarize_sampled<R: Rng>(&mut self, n: u32, rng: &mut R) -> TrialSummary {
+        self.run_inner::<Aggregate, R>(n, rng, true).summary()
+    }
+
+    fn run_inner<T: Tally, R: Rng>(
+        &mut self,
+        n: u32,
+        rng: &mut R,
+        force_sampled: bool,
+    ) -> WindowsRun {
         self.schedule.reset();
-        run_windows(
+        run_windows::<T, R>(
             &self.config,
             &mut self.schedule,
             &mut self.scratch,
@@ -221,6 +248,61 @@ fn noisy_schedule(config: &NoisyConfig) -> Schedule {
         })
 }
 
+/// The window loop's one type parameter: what a run keeps besides slot
+/// occupancy. Resolved at compile time, so each instantiation's branches
+/// for the other compile out.
+trait Tally {
+    /// Track station identities — the `alive` list, the per-station backoff
+    /// accumulators and the [`StationMetrics`] table. Stations are
+    /// exchangeable, so a run that reports only sums and maxima needs none
+    /// of them: the alive *count* is `n − successes`.
+    const STATIONS: bool;
+}
+
+/// The full per-station [`BatchMetrics`]: `run`, `run_sampled`, `run_with`.
+struct PerStation;
+
+impl Tally for PerStation {
+    const STATIONS: bool = true;
+}
+
+/// Only what a [`TrialSummary`] reads: `summarize*` and `summarize_with`.
+struct Aggregate;
+
+impl Tally for Aggregate {
+    const STATIONS: bool = false;
+}
+
+/// What one run of the window loop returns: the trial's [`BatchMetrics`]
+/// (with an empty station table under [`Aggregate`]) plus the two tallies
+/// that stand in for that table in a summary.
+struct WindowsRun {
+    metrics: BatchMetrics,
+    /// Windows opened (the valve counts against this).
+    windows_run: u32,
+    /// Σ over windows of the stations still alive after it. A station times
+    /// out in every window it survives (a station attempts every window
+    /// until it exits by winning), so this is the total ACK-timeout count.
+    ack_timeouts: u64,
+}
+
+impl WindowsRun {
+    /// The summary, from tallies alone. The station with the most ACK
+    /// timeouts is a survivor of a valve-truncated run (it timed out in
+    /// every window), or else the last winner, which timed out in every
+    /// window but the final one. No windowed station accrues ACK-timeout
+    /// *time*, so that statistic is zero.
+    fn summary(&self) -> TrialSummary {
+        let m = &self.metrics;
+        let max_ack_timeouts = if m.successes < m.n {
+            self.windows_run
+        } else {
+            self.windows_run.saturating_sub(1)
+        };
+        TrialSummary::from_totals(m, self.ack_timeouts, max_ack_timeouts, Nanos::ZERO)
+    }
+}
+
 /// The shared windowed loop over caller-owned scratch buffers. `schedule`
 /// must be freshly built or reset.
 ///
@@ -232,41 +314,55 @@ fn noisy_schedule(config: &NoisyConfig) -> Schedule {
 ///   station into the scratch [`DrawBuffer`] and consumes them in alive
 ///   order, so the underlying word stream is unchanged (rejection
 ///   replacements continue the stream; width 1 consumes nothing).
-/// * **Epoch-stamped occupancy** (ideal path + counting-sort group-by).
-///   Slots carry `(epoch << 32) | count`; bumping the epoch retires a whole
-///   window in O(1) instead of re-zeroing touched slots.
+///   Power-of-two spans skip the buffer: they reduce rejection-free
+///   (`word & mask`), so generation and occupancy fuse into one pass.
+/// * **Epoch-stamped occupancy** (sparse ideal windows + counting-sort
+///   group-by). Slots carry `(epoch << 32) | count`; bumping the epoch
+///   retires a whole window in O(1) instead of re-zeroing touched slots.
 /// * **Sort-free success classification** (ideal path). Success ⟺ final
 ///   slot count 1, which is order-independent — as are every aggregate
 ///   except `half_cw_slots` (the k-th smallest success slot of the one
 ///   window crossing ⌈n/2⌉, selected once per trial) and `cw_slots` (the
-///   max success slot of the final window). The per-window sort of
-///   successes is gone.
+///   max success slot of the final window).
 /// * **Counting-sort group-by** (sampled path). When the window is at most
 ///   4× the alive set, same-slot groups are formed by prefix-summed
 ///   scatter in O(alive + width) instead of `sort_unstable`; wider windows
 ///   sort packed `(slot << 32) | index` keys, whose plain `u64` order is
 ///   exactly the old (slot, draw index) order.
-/// * **Fused compaction.** Failures are written back into `alive` in
-///   order during classification — no `done` table, no `retain` pass —
-///   and per-station metrics are touched in alive order throughout.
-/// * **Compact per-station accumulation.** The hot loop touches one `u64`
-///   backoff accumulator per draw instead of the 40-byte
-///   [`StationMetrics`]; `attempts` and `ack_timeouts` are derived once
-///   per trial from each station's exit window (a station attempts every
-///   window until it exits by winning, and every attempt except a final
-///   winning one times out — true in both resolution paths).
+/// * **Two instantiations of one loop** ([`Tally`], resolved at compile
+///   time). Both make the same draws, in the same order, and the same
+///   `sample_slot` calls; they differ only in what they keep.
+/// * **Per-station instantiation** ([`PerStation`], the full
+///   [`BatchMetrics`]). Keeps the `alive` identity list, one `u64` backoff
+///   accumulator per station (touched on every draw, indirectly once
+///   stations start leaving), each window's drawn slots and the 40-byte
+///   [`StationMetrics`] table. Winners are stamped in the table during
+///   classification and failures are compacted back into `alive` in the
+///   same pass; `attempts` and `ack_timeouts` are derived once per trial
+///   from each station's exit window (a station attempts every window until
+///   it exits by winning, and every attempt except a final winning one
+///   times out — true in both resolution paths).
+/// * **Aggregate instantiation** ([`Aggregate`], a [`TrialSummary`]).
+///   Stations are exchangeable, so it keeps only the alive count
+///   (`n − successes`) and the slot occupancy: no identities, no backoff,
+///   no drawn slots on dense windows, no station table and no end-of-trial
+///   fold. Each window adds its singletons to `successes` and its survivors
+///   to the ACK-timeout tally; the success slots of the (at most two)
+///   windows that set `half_cw_slots` and `cw_slots` are read back from the
+///   occupancy table (dense windows) or the drawn slots (sparse windows),
+///   and [`WindowsRun::summary`] derives the per-station maxima.
 /// * **Width-1 windows resolve arithmetically** on the ideal path: a slot-1
 ///   window consumes no RNG words and every alive station lands in slot 0,
 ///   so its outcome (all collide, or a lone station succeeds) needs no
 ///   draw, occupancy or classify work at all.
-fn run_windows<R: Rng>(
+fn run_windows<T: Tally, R: Rng>(
     config: &NoisyConfig,
     schedule: &mut Schedule,
     scratch: &mut NoisyScratch,
     n: u32,
     rng: &mut R,
     force_sampled: bool,
-) -> BatchMetrics {
+) -> WindowsRun {
     /// Collision accounting over a dense window's occupancy state, returned
     /// as `(collided slots, singleton slots)`: each slot with ≥ 2 drawers
     /// is one disjoint collision, and no per-slot participant tally is
@@ -299,14 +395,15 @@ fn run_windows<R: Rng>(
         (collided_slots, occupied - collided_slots)
     }
 
-    /// Classify + compact one ideal-channel window in alive order: the
-    /// drawer of entry `i` is `alive[i]`, still intact during the pass
-    /// because compaction writes trail reads. Winners get their success
-    /// time and attempt count (= this window's index — a station attempts
-    /// every window until it exits by winning) stamped directly; failures
-    /// are compacted back into `alive` and take their ACK timeout
-    /// implicitly, reconstructed by the end-of-trial fold. Returns the
-    /// window's maximum success slot (for the final window's `cw_slots`).
+    /// Classify + compact one ideal-channel window of a per-station run in
+    /// alive order: the drawer of entry `i` is `alive[i]`, still intact
+    /// during the pass because compaction writes trail reads. Winners get
+    /// their success time and attempt count (= this window's index — a
+    /// station attempts every window until it exits by winning) stamped
+    /// directly; failures are compacted back into `alive` and take their
+    /// ACK timeout implicitly, reconstructed by the end-of-trial fold.
+    /// Returns the window's maximum success slot (for the final window's
+    /// `cw_slots`).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn classify_window(
@@ -346,13 +443,37 @@ fn run_windows<R: Rng>(
         last_slot_max
     }
 
+    /// The aggregate instantiation's stand-in for classification, run only
+    /// in a window whose success slots set `half_cw_slots` or `cw_slots`:
+    /// collects the singleton slots among `candidates` into
+    /// `window_successes` and returns the largest.
+    #[inline]
+    fn singleton_slots(
+        candidates: impl Iterator<Item = u32>,
+        is_single: impl Fn(u32) -> bool,
+        window_successes: &mut Vec<u32>,
+    ) -> u32 {
+        window_successes.extend(candidates.filter(|&slot| is_single(slot)));
+        window_successes.iter().copied().max().unwrap_or(0)
+    }
+
     let mut metrics = BatchMetrics {
         n,
-        stations: vec![StationMetrics::default(); n as usize],
+        stations: if T::STATIONS {
+            vec![StationMetrics::default(); n as usize]
+        } else {
+            Vec::new()
+        },
         ..BatchMetrics::default()
     };
+    let mut windows_run: u32 = 0;
+    let mut ack_timeouts: u64 = 0;
     if n == 0 {
-        return metrics;
+        return WindowsRun {
+            metrics,
+            windows_run,
+            ack_timeouts,
+        };
     }
 
     let fast_path = config.channel.is_ideal() && !force_sampled;
@@ -371,14 +492,88 @@ fn run_windows<R: Rng>(
         won,
         buf,
     } = scratch;
-    alive.clear();
-    alive.extend(0..n);
-    backoff.clear();
-    backoff.resize(n as usize, 0);
-    let mut slots_before_window: u64 = 0;
-    let mut windows_run: u32 = 0;
+    if T::STATIONS {
+        alive.clear();
+        alive.extend(0..n);
+        backoff.clear();
+        backoff.resize(n as usize, 0);
+    }
 
-    while !alive.is_empty() {
+    // One window's draw pass over `$alive_n` stations: draws each slot in
+    // alive order from `$next`, adds it to the drawer's backoff accumulator
+    // and records it in `slots` (per-station runs; aggregate runs record
+    // only when `$record`), then runs `$visit` with the draw index and the
+    // slot bound to `$i` and `$slot`. Expanded in place rather than taking
+    // closures, so every window shape's loop is straight-line code with the
+    // generator state in registers.
+    macro_rules! draw_pass {
+        ($alive_n:expr, $record:expr, |$i:ident, $slot:ident| $next:expr => $visit:expr) => {{
+            let alive_n: usize = $alive_n;
+            if T::STATIONS || $record {
+                // Alive counts only ever shrink within a trial, so this
+                // resize is a truncation (no refill) after the first window.
+                slots.resize(alive_n, 0);
+            }
+            if !T::STATIONS {
+                if $record {
+                    for ($i, s) in slots.iter_mut().enumerate() {
+                        let $slot: u32 = $next;
+                        *s = $slot;
+                        $visit;
+                    }
+                } else {
+                    for $i in 0..alive_n {
+                        let $slot: u32 = $next;
+                        $visit;
+                    }
+                }
+            } else if alive_n == backoff.len() {
+                // Identity regime: no station has exited yet, so
+                // `alive[i] == i` and the indirection (with its bounds
+                // check) drops out — every window before the first
+                // success, i.e. most of a large batch's draws.
+                for ($i, (b, s)) in backoff.iter_mut().zip(slots.iter_mut()).enumerate() {
+                    let $slot: u32 = $next;
+                    *b += $slot as u64;
+                    *s = $slot;
+                    $visit;
+                }
+            } else {
+                for ($i, (&station, s)) in alive.iter().zip(slots.iter_mut()).enumerate() {
+                    let $slot: u32 = $next;
+                    backoff[station as usize] += $slot as u64;
+                    *s = $slot;
+                    $visit;
+                }
+            }
+        }};
+    }
+
+    // A dense window's draw pass. Power-of-two spans reduce rejection-free
+    // (`word & mask`), so generation and occupancy fuse into one pass with
+    // no round trip through memory; words are consumed in exactly
+    // generation order, so the stream is bit-identical to the buffered
+    // form, and the generator's serial dependency chain leaves the ALU
+    // slack that hides the fused bookkeeping. Other spans go through the
+    // zone-rejection reduction, batched through the draw buffer.
+    macro_rules! dense_draws {
+        ($span:expr, $alive_n:expr, |$slot:ident| $visit:expr) => {{
+            let span: u64 = $span;
+            if span.is_power_of_two() {
+                let mask = span - 1;
+                draw_pass!($alive_n, false, |_i, $slot| (rng.next_u64() & mask) as u32 => $visit);
+            } else {
+                buf.prefill(rng, $alive_n);
+                draw_pass!($alive_n, false, |_i, $slot| {
+                    buf.uniform_below(rng, span) as u32
+                } => $visit);
+            }
+        }};
+    }
+
+    let mut slots_before_window: u64 = 0;
+
+    while metrics.successes < n {
         if config.max_windows != 0 && windows_run >= config.max_windows {
             break;
         }
@@ -386,38 +581,14 @@ fn run_windows<R: Rng>(
         let width = schedule.next_window();
         let span = width as u64;
         let wslots = width as usize;
-        let alive_n = alive.len();
+        // Every success removes exactly one station.
+        let alive_n = (n - metrics.successes) as usize;
+        debug_assert!(!T::STATIONS || alive.len() == alive_n);
         // Width-bounded O(width) sweeps (a count reset, a collision scan, a
         // prefix sum) are worth buying while they stay within a small factor
         // of the draw count; both paths switch strategy on that boundary.
         let dense = wslots <= 4 * alive_n;
         let counting = !fast_path && dense;
-
-        if fast_path && width == 1 {
-            // Everyone is in slot 0 and no RNG word is consumed, so the
-            // window resolves in O(1): a lone station succeeds there, two
-            // or more all collide, add zero backoff and all stay alive —
-            // no per-station work at all.
-            if alive_n >= 2 {
-                metrics.collisions += 1;
-                metrics.colliding_stations += alive_n as u64;
-            } else {
-                let s = &mut metrics.stations[alive[0] as usize];
-                let at_slot = slots_before_window + 1;
-                s.success_time = Some(config.slot * at_slot);
-                s.attempts = windows_run;
-                metrics.successes += 1;
-                if metrics.successes == half_target {
-                    metrics.half_cw_slots = at_slot;
-                }
-                if metrics.successes == n {
-                    metrics.cw_slots = at_slot;
-                }
-                alive.clear();
-            }
-            slots_before_window += 1;
-            continue;
-        }
 
         if (fast_path && !dense) || counting {
             // One epoch per window; stale stamps read as count 0, so there
@@ -436,7 +607,31 @@ fn run_windows<R: Rng>(
         }
         let stamp = (*epoch as u64) << 32;
 
-        if fast_path {
+        if fast_path && width == 1 {
+            // Everyone is in slot 0 and no RNG word is consumed, so the
+            // window resolves in O(1): a lone station succeeds there, two
+            // or more all collide, add zero backoff and all stay alive —
+            // no per-station work at all.
+            if alive_n >= 2 {
+                metrics.collisions += 1;
+                metrics.colliding_stations += alive_n as u64;
+            } else {
+                let at_slot = slots_before_window + 1;
+                if T::STATIONS {
+                    let s = &mut metrics.stations[alive[0] as usize];
+                    s.success_time = Some(config.slot * at_slot);
+                    s.attempts = windows_run;
+                    alive.clear();
+                }
+                metrics.successes += 1;
+                if metrics.successes == half_target {
+                    metrics.half_cw_slots = at_slot;
+                }
+                if metrics.successes == n {
+                    metrics.cw_slots = at_slot;
+                }
+            }
+        } else if fast_path {
             let prior = metrics.successes;
             let crossing = prior < half_target;
             window_successes.clear();
@@ -463,84 +658,19 @@ fn run_windows<R: Rng>(
                     dup.clear();
                     dup.resize(bm_words, 0);
                 }
-                // Alive counts only ever shrink within a trial, so this
-                // resize is a truncation (no refill) after the first window.
-                slots.resize(alive_n, 0);
-                if span.is_power_of_two() {
-                    // Power-of-two spans reduce rejection-free
-                    // (`word & mask`), so generation, backoff accumulation
-                    // and occupancy fuse into one pass with no buffered
-                    // round trip through memory; words are consumed in
-                    // exactly generation order, so the stream is
-                    // bit-identical to the buffered form. The generator's
-                    // serial dependency chain leaves the ALU slack that
-                    // hides the fused bookkeeping. Each variant is its own
-                    // tight loop so no dead occupancy pointers stay live.
-                    let mask = span - 1;
-                    if alive_n == n as usize {
-                        // Identity regime: no station has exited yet, so
-                        // `alive[i] == i` and the indirection (with its
-                        // bounds check) drops out — every window before
-                        // the first success, i.e. most of a large batch's
-                        // draws.
-                        if use_counts {
-                            for (b, s) in backoff.iter_mut().zip(slots.iter_mut()) {
-                                let slot = (rng.next_u64() & mask) as u32;
-                                *b += slot as u64;
-                                *s = slot;
-                                slot_offsets[slot as usize] += 1;
-                            }
-                        } else {
-                            for (b, s) in backoff.iter_mut().zip(slots.iter_mut()) {
-                                let slot = (rng.next_u64() & mask) as u32;
-                                *b += slot as u64;
-                                *s = slot;
-                                let idx = (slot >> 6) as usize;
-                                let bit = 1u64 << (slot & 63);
-                                dup[idx] |= seen[idx] & bit;
-                                seen[idx] |= bit;
-                            }
-                        }
-                    } else if use_counts {
-                        for (&station, s) in alive.iter().zip(slots.iter_mut()) {
-                            let slot = (rng.next_u64() & mask) as u32;
-                            backoff[station as usize] += slot as u64;
-                            *s = slot;
-                            slot_offsets[slot as usize] += 1;
-                        }
-                    } else {
-                        for (&station, s) in alive.iter().zip(slots.iter_mut()) {
-                            let slot = (rng.next_u64() & mask) as u32;
-                            backoff[station as usize] += slot as u64;
-                            *s = slot;
-                            let idx = (slot >> 6) as usize;
-                            let bit = 1u64 << (slot & 63);
-                            dup[idx] |= seen[idx] & bit;
-                            seen[idx] |= bit;
-                        }
-                    }
+                // Each occupancy representation gets its own tight loop
+                // so no dead occupancy pointers stay live.
+                if use_counts {
+                    dense_draws!(span, alive_n, |slot| {
+                        slot_offsets[slot as usize] += 1;
+                    });
                 } else {
-                    // Non-power-of-two spans go through the zone-rejection
-                    // reduction, batched through the draw buffer.
-                    buf.prefill(rng, alive_n);
-                    if use_counts {
-                        for (&station, s) in alive.iter().zip(slots.iter_mut()) {
-                            let slot = buf.uniform_below(rng, span) as u32;
-                            backoff[station as usize] += slot as u64;
-                            *s = slot;
-                            slot_offsets[slot as usize] += 1;
-                        }
-                    } else {
-                        for (&station, s) in alive.iter().zip(slots.iter_mut()) {
-                            let slot = buf.uniform_below(rng, span) as u32;
-                            backoff[station as usize] += slot as u64;
-                            *s = slot;
-                            let idx = (slot >> 6) as usize;
-                            let bit = 1u64 << (slot & 63);
-                            dup[idx] |= seen[idx] & bit;
-                            seen[idx] |= bit;
-                        }
-                    }
+                    dense_draws!(span, alive_n, |slot| {
+                        let idx = (slot >> 6) as usize;
+                        let bit = 1u64 << (slot & 63);
+                        dup[idx] |= seen[idx] & bit;
+                        seen[idx] |= bit;
+                    });
                 }
                 let (collided_slots, singles) = if use_counts {
                     count_sweep(slot_offsets)
@@ -549,13 +679,30 @@ fn run_windows<R: Rng>(
                 };
                 metrics.collisions += collided_slots;
                 metrics.colliding_stations += alive_n as u64 - singles;
+                let counted = |slot: u32| slot_offsets[slot as usize] == 1;
+                let lone = |slot: u32| dup[(slot >> 6) as usize] & (1u64 << (slot & 63)) == 0;
                 last_slot_max = if singles == 0 {
                     0
+                } else if !T::STATIONS {
+                    metrics.successes += singles as u32;
+                    if (crossing && metrics.successes >= half_target) || metrics.successes == n {
+                        if use_counts {
+                            singleton_slots(0..width, counted, window_successes)
+                        } else {
+                            let single = |slot: u32| {
+                                let idx = (slot >> 6) as usize;
+                                (seen[idx] & !dup[idx]) & (1u64 << (slot & 63)) != 0
+                            };
+                            singleton_slots(0..width, single, window_successes)
+                        }
+                    } else {
+                        0
+                    }
                 } else if use_counts {
                     classify_window(
                         alive_n,
                         |i| slots[i],
-                        |_, slot| slot_offsets[slot as usize] == 1,
+                        |_, slot| counted(slot),
                         alive,
                         &mut metrics.stations,
                         &mut metrics.successes,
@@ -569,7 +716,7 @@ fn run_windows<R: Rng>(
                     classify_window(
                         alive_n,
                         |i| slots[i],
-                        |_, slot| dup[(slot >> 6) as usize] & (1u64 << (slot & 63)) == 0,
+                        |_, slot| lone(slot),
                         alive,
                         &mut metrics.stations,
                         &mut metrics.successes,
@@ -584,28 +731,31 @@ fn run_windows<R: Rng>(
                 // Sparse windows (width ≫ alive, the resolution tail):
                 // epoch-stamped first-drawer entries. A slot records its
                 // first drawer (`stamp | draw index`); the second arrival
-                // demotes that drawer in the `won` bitmap and marks the slot
-                // collided (`stamp | u32::MAX`) — one new disjoint collision
-                // with two participants, every further arrival adding one.
-                // The mostly-empty branch predicts well here, and no
-                // width-bounded sweep ever runs.
-                slots.clear();
+                // demotes that drawer in the `won` bitmap (per-station runs)
+                // and marks the slot collided (`stamp | u32::MAX`) — one new
+                // disjoint collision with two participants, every further
+                // arrival adding one. The mostly-empty branch predicts well
+                // here, and no width-bounded sweep ever runs.
                 buf.prefill(rng, alive_n);
-                won.clear();
-                won.resize(alive_n, false);
-                for (i, &station) in alive.iter().enumerate() {
-                    let slot = buf.uniform_below(rng, span) as u32;
-                    slots.push(slot);
-                    backoff[station as usize] += slot as u64;
+                if T::STATIONS {
+                    won.clear();
+                    won.resize(alive_n, false);
+                }
+                let colliding_before = metrics.colliding_stations;
+                draw_pass!(alive_n, true, |i, slot| buf.uniform_below(rng, span) as u32 => {
                     let entry = &mut slot_state[slot as usize];
                     let e = *entry;
                     if e < stamp {
                         *entry = stamp | i as u64;
-                        won[i] = true;
+                        if T::STATIONS {
+                            won[i] = true;
+                        }
                     } else {
                         let first = e as u32;
                         if first != u32::MAX {
-                            won[first as usize] = false;
+                            if T::STATIONS {
+                                won[first as usize] = false;
+                            }
                             *entry = stamp | u32::MAX as u64;
                             metrics.collisions += 1;
                             metrics.colliding_stations += 2;
@@ -613,20 +763,34 @@ fn run_windows<R: Rng>(
                             metrics.colliding_stations += 1;
                         }
                     }
-                }
-                last_slot_max = classify_window(
-                    alive_n,
-                    |i| slots[i],
-                    |i, _| won[i],
-                    alive,
-                    &mut metrics.stations,
-                    &mut metrics.successes,
-                    window_successes,
-                    crossing,
-                    slots_before_window,
-                    config.slot,
-                    windows_run,
-                );
+                });
+                last_slot_max = if T::STATIONS {
+                    classify_window(
+                        alive_n,
+                        |i| slots[i],
+                        |i, _| won[i],
+                        alive,
+                        &mut metrics.stations,
+                        &mut metrics.successes,
+                        window_successes,
+                        crossing,
+                        slots_before_window,
+                        config.slot,
+                        windows_run,
+                    )
+                } else {
+                    let colliding = metrics.colliding_stations - colliding_before;
+                    metrics.successes += (alive_n as u64 - colliding) as u32;
+                    if (crossing && metrics.successes >= half_target) || metrics.successes == n {
+                        singleton_slots(
+                            slots.iter().copied(),
+                            |slot| slot_state[slot as usize] as u32 != u32::MAX,
+                            window_successes,
+                        )
+                    } else {
+                        0
+                    }
+                };
             }
 
             if crossing && metrics.successes >= half_target {
@@ -644,17 +808,13 @@ fn run_windows<R: Rng>(
             // Sampled path: draw pass (batched words, sequential station
             // accumulators, occupancy counts when the counting-sort group-by
             // applies)…
-            slots.clear();
             buf.prefill(rng, if width == 1 { 0 } else { alive_n });
-            for &station in alive.iter() {
-                let slot = buf.uniform_below(rng, span) as u32;
-                slots.push(slot);
-                backoff[station as usize] += slot as u64;
+            draw_pass!(alive_n, true, |_i, slot| buf.uniform_below(rng, span) as u32 => {
                 if counting {
                     let entry = &mut slot_state[slot as usize];
                     *entry = if *entry >= stamp { *entry } else { stamp } + 1;
                 }
-            }
+            });
 
             // …then group same-slot draws in (slot, draw order) order.
             order.clear();
@@ -688,8 +848,10 @@ fn run_windows<R: Rng>(
             // Resolve each occupied slot through the channel in ascending
             // slot order (the RNG contract), recording winners; successes
             // arrive in slot order, so the half/full targets are direct.
-            won.clear();
-            won.resize(alive_n, false);
+            if T::STATIONS {
+                won.clear();
+                won.resize(alive_n, false);
+            }
             let mut group_start = 0usize;
             while group_start < order.len() {
                 let slot = (order[group_start] >> 32) as u32;
@@ -704,14 +866,15 @@ fn run_windows<R: Rng>(
                     metrics.colliding_stations += k as u64;
                 }
                 if let SlotFate::Delivered { winner } = fate {
-                    let draw_idx = order[group_start + winner as usize] as u32 as usize;
-                    won[draw_idx] = true;
-                    let station = alive[draw_idx];
-                    metrics.successes += 1;
                     let at_slot = slots_before_window + slot as u64 + 1;
-                    let s = &mut metrics.stations[station as usize];
-                    s.success_time = Some(config.slot * at_slot);
-                    s.attempts = windows_run;
+                    if T::STATIONS {
+                        let draw_idx = order[group_start + winner as usize] as u32 as usize;
+                        won[draw_idx] = true;
+                        let s = &mut metrics.stations[alive[draw_idx] as usize];
+                        s.success_time = Some(config.slot * at_slot);
+                        s.attempts = windows_run;
+                    }
+                    metrics.successes += 1;
                     if metrics.successes == half_target {
                         metrics.half_cw_slots = at_slot;
                     }
@@ -726,20 +889,23 @@ fn run_windows<R: Rng>(
             // noise erasure — the station learns it in-slot under A2 and
             // waits out the window) stay alive; their ACK timeouts are
             // reconstructed by the end-of-trial fold.
-            let mut kept = 0usize;
-            for i in 0..alive_n {
-                if !won[i] {
-                    alive[kept] = alive[i];
-                    kept += 1;
+            if T::STATIONS {
+                let mut kept = 0usize;
+                for i in 0..alive_n {
+                    if !won[i] {
+                        alive[kept] = alive[i];
+                        kept += 1;
+                    }
                 }
+                alive.truncate(kept);
             }
-            alive.truncate(kept);
         }
 
-        slots_before_window += width as u64;
+        slots_before_window += span;
+        ack_timeouts += (n - metrics.successes) as u64;
     }
 
-    if alive.is_empty() {
+    if metrics.successes == n {
         metrics.total_time = config.slot * metrics.cw_slots;
     } else {
         // Valve-truncated: `cw_slots` never fired, but the run did consume
@@ -749,23 +915,29 @@ fn run_windows<R: Rng>(
     }
     metrics.half_time = config.slot * metrics.half_cw_slots;
 
-    // Fold the backoff accumulators into the per-station table and derive
-    // the attempt counts: a station attempts every window until it exits
-    // by winning (winners had `attempts` stamped with their exit window at
-    // the success site; survivors attempted them all), and every attempt
-    // except a final winning one took an ACK timeout.
-    for (station, &b) in backoff.iter().enumerate() {
-        let s = &mut metrics.stations[station];
-        s.backoff_slots = b;
-        if s.success_time.is_some() {
-            s.ack_timeouts = s.attempts - 1;
-        } else {
-            s.attempts = windows_run;
-            s.ack_timeouts = windows_run;
+    if T::STATIONS {
+        // Fold the backoff accumulators into the per-station table and
+        // derive the attempt counts: a station attempts every window until
+        // it exits by winning (winners had `attempts` stamped with their
+        // exit window at the success site; survivors attempted them all),
+        // and every attempt except a final winning one took an ACK timeout.
+        for (station, &b) in backoff.iter().enumerate() {
+            let s = &mut metrics.stations[station];
+            s.backoff_slots = b;
+            if s.success_time.is_some() {
+                s.ack_timeouts = s.attempts - 1;
+            } else {
+                s.attempts = windows_run;
+                s.ack_timeouts = windows_run;
+            }
         }
     }
     scratch.shed_pathological_buffers();
-    metrics
+    WindowsRun {
+        metrics,
+        windows_run,
+        ack_timeouts,
+    }
 }
 
 /// Plugs the noisy-channel semantics into the generic sweep engine.
@@ -793,9 +965,24 @@ impl Simulator for NoisySim {
         rng: &mut SmallRng,
         scratch: &mut NoisyScratch,
     ) -> BatchMetrics {
-        run_windows(config, &mut noisy_schedule(config), scratch, n, rng, false)
+        run_windows::<PerStation, _>(config, &mut noisy_schedule(config), scratch, n, rng, false)
+            .metrics
+    }
+
+    /// The aggregate instantiation of the window loop: no station table,
+    /// no per-station state, the same draws.
+    fn summarize_with(
+        config: &NoisyConfig,
+        n: u32,
+        rng: &mut SmallRng,
+        scratch: &mut NoisyScratch,
+    ) -> TrialSummary {
+        run_windows::<Aggregate, _>(config, &mut noisy_schedule(config), scratch, n, rng, false)
+            .summary()
     }
 }
+
+contention_sim::raw_trial_value!(NoisySim);
 
 #[cfg(test)]
 mod tests {
@@ -852,9 +1039,9 @@ mod tests {
                 let n = 90;
                 let config = NoisyConfig::fatal(kind);
                 let mut rng = trial_rng(experiment_tag("noisy-paths"), kind, n, trial);
-                let fast = NoisySim::new(config).run_inner(n, &mut rng, false);
+                let fast = NoisySim::new(config).run(n, &mut rng);
                 let mut rng = trial_rng(experiment_tag("noisy-paths"), kind, n, trial);
-                let sampled = NoisySim::new(config).run_inner(n, &mut rng, true);
+                let sampled = NoisySim::new(config).run_sampled(n, &mut rng);
                 assert_eq!(fast, sampled, "{kind} trial {trial}");
             }
         }

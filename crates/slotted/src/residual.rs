@@ -227,6 +227,8 @@ impl Simulator for ResidualSim {
     }
 }
 
+contention_sim::raw_trial_value!(ResidualSim);
+
 #[cfg(test)]
 mod tests {
     use super::*;

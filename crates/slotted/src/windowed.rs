@@ -12,6 +12,12 @@
 //! slot fates without consuming randomness. The paper-model semantics are
 //! therefore structurally identical to the softened model's `p = 0`
 //! degenerate case, not merely test-equivalent.
+//!
+//! A trial comes out in one of two shapes from the same loop and the same
+//! draws: [`WindowedSim::run`] and `Simulator::run_with` return the full
+//! per-station [`BatchMetrics`], while `Simulator::summarize_with` — what
+//! every sweep folding [`TrialSummary`] values runs — tallies the summary
+//! directly, with no per-station state at all.
 
 use crate::noisy::{NoisyConfig, NoisyScratch, NoisySim};
 use contention_core::algorithm::AlgorithmKind;
@@ -20,6 +26,7 @@ use contention_core::metrics::BatchMetrics;
 use contention_core::schedule::Truncation;
 use contention_core::time::Nanos;
 use contention_sim::engine::Simulator;
+use contention_sim::summary::TrialSummary;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -121,7 +128,19 @@ impl Simulator for WindowedSim {
     ) -> BatchMetrics {
         NoisySim::run_with(&config.as_noisy(), n, rng, scratch)
     }
+
+    /// The shared loop's aggregate instantiation: no station table.
+    fn summarize_with(
+        config: &WindowedConfig,
+        n: u32,
+        rng: &mut SmallRng,
+        scratch: &mut NoisyScratch,
+    ) -> TrialSummary {
+        NoisySim::summarize_with(&config.as_noisy(), n, rng, scratch)
+    }
 }
+
+contention_sim::raw_trial_value!(WindowedSim);
 
 #[cfg(test)]
 mod tests {

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use contention_mac::{simulate, MacConfig, MacRun, MacSim, Trace};
     pub use contention_sim::engine::{
         folded, run_trial, run_trial_with, Accumulator, CellRange, ExecPolicy, FoldedCell,
-        MergeableAccumulator, Simulator, Slots, Sweep, SweepHooks,
+        MergeableAccumulator, Simulator, Slots, Sweep, SweepHooks, TrialValue,
     };
     pub use contention_sim::monitor::{SnapshotCadence, SweepMonitor, SweepSnapshot};
     // The scheduling CostModel trait is NOT re-exported here: `CostModel`

@@ -7,6 +7,12 @@
 //! seeds, recorded with the pre-refactor simulator, rendered with every
 //! `f64` as its exact bit pattern so float formatting cannot hide drift.
 //!
+//! Every entry is rendered twice against the same fixture line: once from
+//! a single `run_trial` converted with `From`, once through the path a
+//! sweep's summary fold takes (`Sweep::run_fold` into
+//! `Slots<TrialSummary>`, i.e. `Simulator::summarize_with`), which for the
+//! windowed backend tallies the summary without a station table.
+//!
 //! Regenerate (only when an *intentional* semantic change lands) with:
 //!
 //! ```text
@@ -18,6 +24,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 const FIXTURE: &str = "tests/golden/hot_path_summaries.txt";
+const EXPERIMENT: &str = "hot-path-golden";
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE)
@@ -43,10 +50,36 @@ fn render(label: &str, n: u32, trial: u32, t: &TrialSummary) -> String {
     line
 }
 
+/// One trial's summary: converted from a lone `run_trial`, or — with
+/// `via_sweep` — folded by a one-cell sequential sweep whose trial `trial`
+/// is the same stream.
+fn summary<S: Simulator>(config: &S::Config, n: u32, trial: u32, via_sweep: bool) -> TrialSummary
+where
+    S::Output: Into<TrialSummary>,
+{
+    if !via_sweep {
+        return run_trial::<S>(EXPERIMENT, config, n, trial).into();
+    }
+    let sweep = Sweep::<S> {
+        experiment: EXPERIMENT,
+        config: config.clone(),
+        algorithms: vec![S::algorithm(config)],
+        ns: vec![n],
+        trials: trial + 1,
+        exec: ExecPolicy::threads(1),
+    };
+    let cells = sweep.run_fold(
+        |_, _, trials| Slots::<TrialSummary>::new(trials),
+        &SweepHooks::none(),
+    );
+    let mut trials = cells.into_iter().next().expect("one cell").acc.into_vec();
+    trials.swap_remove(trial as usize)
+}
+
 /// The seed matrix: every MAC code path the refactor touches (plain DCF,
 /// RTS/CTS, EIFS off, softened channel, BEST-OF-k estimation, truncation
 /// valve) plus the windowed reference backend.
-fn generate() -> String {
+fn generate(via_sweep: bool) -> String {
     let mut out = String::new();
     let mut push = |line: String| {
         out.push_str(&line);
@@ -55,7 +88,7 @@ fn generate() -> String {
 
     let mac =
         |push: &mut dyn FnMut(String), label: &str, config: &MacConfig, n: u32, trial: u32| {
-            let t: TrialSummary = run_trial::<MacSim>("hot-path-golden", config, n, trial).into();
+            let t = summary::<MacSim>(config, n, trial, via_sweep);
             push(render(&format!("mac/{label}"), n, trial, &t));
         };
 
@@ -104,8 +137,7 @@ fn generate() -> String {
     for kind in AlgorithmKind::PAPER_SET {
         let config = WindowedConfig::abstract_model(kind);
         for (n, trial) in [(1u32, 0u32), (100, 0), (100, 1), (2000, 0)] {
-            let t: TrialSummary =
-                run_trial::<WindowedSim>("hot-path-golden", &config, n, trial).into();
+            let t = summary::<WindowedSim>(&config, n, trial, via_sweep);
             push(render(&format!("windowed/{kind}"), n, trial, &t));
         }
     }
@@ -114,13 +146,24 @@ fn generate() -> String {
 
 #[test]
 fn summaries_are_bit_identical_to_the_pre_refactor_fixture() {
-    let got = generate();
+    let got = generate(false);
     let path = fixture_path();
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         std::fs::write(&path, &got).expect("write fixture");
         eprintln!("regenerated {}", path.display());
         return;
     }
+    assert_matches_fixture(&got);
+}
+
+/// The sweep's summary fold renders every entry to the same fixture line.
+#[test]
+fn sweep_summary_folds_match_the_same_fixture() {
+    assert_matches_fixture(&generate(true));
+}
+
+fn assert_matches_fixture(got: &str) {
+    let path = fixture_path();
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing fixture {} ({e}); REGEN_GOLDEN=1 to create",

@@ -268,3 +268,47 @@ fn mac_trial_loop_allocates_only_its_output() {
          per-trial allocations back into the hot loop"
     );
 }
+
+/// Steady-state allocation ceiling for the windowed simulator's summary
+/// fold: zero.
+///
+/// A sweep that folds `TrialSummary` values runs the aggregate
+/// instantiation of the window loop, which keeps no station table and no
+/// per-station state — only slot occupancy in the per-worker scratch arena.
+/// Once that arena has grown to its high-water mark, a trial must not touch
+/// the allocator at all. Differencing two trial counts cancels sweep setup
+/// and arena growth; the average allows 0.1 calls per trial of harness
+/// noise, where a per-trial station table alone would cost 1.
+#[test]
+fn windowed_summary_trial_loop_allocates_nothing_per_trial() {
+    let _measure = measure();
+    const N: u32 = 10_000;
+    let sweep = |trials: u32| Sweep::<WindowedSim> {
+        experiment: "windowed-alloc-ceiling",
+        config: WindowedConfig::abstract_model(AlgorithmKind::Beb),
+        algorithms: vec![AlgorithmKind::Beb],
+        ns: vec![N],
+        trials,
+        // Sequential: one arena, no thread-spawn allocations.
+        exec: ExecPolicy::threads(1),
+    };
+
+    let allocs_for = |trials: u32| {
+        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        let cells =
+            sweep(trials).run_fold(|_, _, _| CwExtrema(Extrema::new()), &SweepHooks::none());
+        assert_eq!(cells[0].acc.0.count(), trials as u64);
+        ALLOC_CALLS.load(Ordering::SeqCst) - before
+    };
+
+    allocs_for(8);
+    let short = allocs_for(8);
+    let long = allocs_for(88);
+    let per_trial = (long.saturating_sub(short)) as f64 / 80.0;
+    assert!(
+        per_trial <= 0.1,
+        "steady-state windowed summary trial makes {per_trial:.2} allocations \
+         (short sweep: {short}, long sweep: {long}); the summary fold is \
+         allocating per trial"
+    );
+}

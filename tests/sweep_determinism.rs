@@ -48,7 +48,7 @@ fn oracle<S: Simulator>(sweep: &Sweep<S>) -> Vec<Vec<S::Output>> {
 }
 
 /// Every trial's value, cell by cell in grid order, through the engine.
-fn collect<S: Simulator, T: From<S::Output> + Clone + Send>(
+fn collect<S: Simulator, T: TrialValue<S> + Clone + Send>(
     sweep: &Sweep<S>,
     hooks: &SweepHooks<'_, Slots<T>>,
 ) -> Vec<Vec<T>> {

@@ -256,3 +256,116 @@ proptest! {
         prop_assert_eq!(natural, sampled);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The aggregate instantiation of the window loop (no station table, no
+    /// per-station state) must reproduce `TrialSummary::from` the
+    /// per-station run bit for bit, through both resolution paths — on the
+    /// fixture's channel matrix, power-of-two and other spans, truncated
+    /// windows and valve-truncated runs. `FIXED(100)` over a handful of
+    /// stations opens sparse windows from the start, so the window crossing
+    /// ⌈n/2⌉ is often a sparse one with collisions in it.
+    #[test]
+    fn aggregate_summaries_equal_the_per_station_summaries(
+        kind in (0usize..AlgorithmKind::PAPER_SET.len() + 2).prop_map(|i| {
+            match AlgorithmKind::PAPER_SET.get(i) {
+                Some(&kind) => kind,
+                None if i == AlgorithmKind::PAPER_SET.len() => AlgorithmKind::Fixed { window: 7 },
+                None => AlgorithmKind::Fixed { window: 100 },
+            }
+        }),
+        truncated in any::<bool>(),
+        n in prop_oneof![Just(0u32), Just(1u32), 2u32..=16, 0u32..=2000],
+        trial in 0u32..1000,
+        channel in (0usize..channels().len()).prop_map(|i| channels()[i].1),
+        max_windows in prop_oneof![Just(0u32), 1u32..=40],
+    ) {
+        let config = NoisyConfig {
+            truncation: if truncated { Truncation::paper() } else { Truncation::unbounded() },
+            // A fixed window never drains a large batch: always valve it.
+            max_windows: match kind {
+                AlgorithmKind::Fixed { .. } if max_windows == 0 => 300,
+                _ => max_windows,
+            },
+            ..NoisyConfig::abstract_model(kind, channel)
+        };
+        let tag = experiment_tag("windowed-aggregate-prop");
+        let rng = || trial_rng(tag, kind, n, trial);
+
+        let full = TrialSummary::from(NoisySim::new(config).run(n, &mut rng()));
+        let aggregate = NoisySim::new(config).summarize(n, &mut rng());
+        prop_assert_eq!(summary_bits(&full), summary_bits(&aggregate));
+        let full_sampled = TrialSummary::from(NoisySim::new(config).run_sampled(n, &mut rng()));
+        let aggregate_sampled = NoisySim::new(config).summarize_sampled(n, &mut rng());
+        prop_assert_eq!(summary_bits(&full_sampled), summary_bits(&aggregate_sampled));
+
+        if channel.is_ideal() {
+            // The engine's route for the paper model, and A1's identity:
+            // every colliding station times out, nobody else does.
+            let windowed = WindowedConfig {
+                truncation: config.truncation,
+                max_windows: config.max_windows,
+                ..WindowedConfig::abstract_model(kind)
+            };
+            let engine =
+                WindowedSim::summarize_with(&windowed, n, &mut rng(), &mut Default::default());
+            prop_assert_eq!(summary_bits(&full), summary_bits(&engine));
+            prop_assert_eq!(aggregate.ack_timeouts, aggregate.colliding_stations);
+        }
+    }
+}
+
+/// Every field of a summary as its exact bit pattern.
+fn summary_bits(t: &TrialSummary) -> Vec<u64> {
+    let mut bits = vec![t.n as u64];
+    bits.extend(Metric::ALL.iter().map(|m| m.extract(t).to_bits()));
+    bits
+}
+
+/// Asserts the aggregate summary of one natural-path trial equals the
+/// per-station one, bit for bit.
+fn assert_aggregate_exact(tag: u64, kind: AlgorithmKind, n: u32, trial: u32) {
+    let config = NoisyConfig::fatal(kind);
+    let full =
+        TrialSummary::from(NoisySim::new(config).run(n, &mut trial_rng(tag, kind, n, trial)));
+    let aggregate = NoisySim::new(config).summarize(n, &mut trial_rng(tag, kind, n, trial));
+    assert_eq!(
+        summary_bits(&full),
+        summary_bits(&aggregate),
+        "{kind} n={n} trial={trial}"
+    );
+}
+
+/// The window crossing ⌈n/2⌉ can be a sparse one with collisions in it — a
+/// wide fixed window over a handful of stations opens sparse windows from
+/// the start. The aggregate instantiation must still select the same
+/// half-completion slot from the drawn slots, skipping collided ones.
+#[test]
+fn sparse_crossing_windows_summarize_exactly() {
+    let tag = experiment_tag("windowed-sparse-crossing");
+    for window in [64u32, 100] {
+        for n in 2u32..=16 {
+            for trial in 0..20 {
+                assert_aggregate_exact(tag, AlgorithmKind::Fixed { window }, n, trial);
+            }
+        }
+    }
+}
+
+/// Batches large enough that the window crossing ⌈n/2⌉ is a dense window
+/// past the count table (`seen`/`dup` bitmaps) — a regime the proptest's
+/// n ≤ 2000 never reaches. The aggregate instantiation reads its success
+/// slots back from the bitmaps.
+#[test]
+fn bitmap_crossing_windows_summarize_exactly() {
+    let tag = experiment_tag("windowed-bitmap-crossing");
+    for kind in AlgorithmKind::PAPER_SET {
+        for n in [6_000u32, 25_000] {
+            for trial in 0..2 {
+                assert_aggregate_exact(tag, kind, n, trial);
+            }
+        }
+    }
+}
