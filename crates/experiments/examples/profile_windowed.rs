@@ -132,7 +132,7 @@ fn large_n(kind: AlgorithmKind) {
 }
 
 fn main() {
-    // The real trials, arena-reused, same shape as `repro bench`.
+    // The real trials on one reused scratch arena, as an engine worker runs them.
     time_trials::<WindowedSim>(
         "windowed BEB n=1e4",
         &WindowedConfig::abstract_model(AlgorithmKind::Beb),

@@ -1,8 +1,8 @@
 //! The `repro` command-line interface.
 //!
 //! ```text
-//! repro <experiment|all|list|bench> [--full] [--quick] [--trials N]
-//!       [--out DIR] [--json] [--threads N]
+//! repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json]
+//!       [--threads N]
 //! repro shard <experiment> --shard i/N --out DIR   # partial-state artifact
 //! repro merge DIR... --out DIR [--json]            # recombine + report
 //! repro <experiment> --checkpoint --out DIR        # crash-safe long run
@@ -69,10 +69,6 @@ fn dispatch(sub: &str, opts: &Options) -> Result<(), String> {
         for e in EXPERIMENTS {
             println!("{:<12} {}", e.name(), e.about());
         }
-        println!(
-            "{:<12} benchmark harness — MAC hot path (BENCH_mac.json)",
-            "bench"
-        );
         return Ok(());
     }
     // Fail fast on an unusable output directory — before hours of trials,
@@ -87,24 +83,15 @@ fn dispatch(sub: &str, opts: &Options) -> Result<(), String> {
         "resume" => return run_resume(opts),
         "serve" => return crate::server::Server::serve(opts),
         "work" => return crate::worker::run_worker(opts),
-        "bench" => {
-            let started = std::time::Instant::now();
-            crate::benchmark::run(opts)?.print();
-            println!("[bench] done in {:.1?}\n", started.elapsed());
-            return Ok(());
-        }
         _ if opts.checkpoint.is_some() => return run_checkpointed(sub, opts),
         _ => {}
     }
 
-    let selected: Vec<_> = EXPERIMENTS
+    // `Options::parse` has checked that `sub` names an experiment or `all`.
+    for experiment in EXPERIMENTS
         .iter()
         .filter(|e| sub == "all" || e.name() == sub)
-        .collect();
-    if selected.is_empty() {
-        return Err(format!("unknown experiment {sub:?} (try `repro list`)"));
-    }
-    for experiment in selected {
+    {
         let name = experiment.name();
         let started = std::time::Instant::now();
         let report = experiment.run(opts);
@@ -324,8 +311,8 @@ pub fn main() -> ExitCode {
 
 fn print_usage() {
     println!(
-        "usage: repro <experiment|all|list|bench> [--full] [--quick] [--trials N] [--out DIR] \
-         [--json] [--threads N]"
+        "usage: repro <experiment|all|list> [--full] [--trials N] [--out DIR] [--json] \
+         [--threads N]"
     );
     println!("       repro shard <experiment> --shard i/N --out DIR   (partial-state artifact)");
     println!("       repro merge DIR... --out DIR [--json]            (recombine + report)");
@@ -337,7 +324,6 @@ fn print_usage() {
     println!();
     println!("  --full      use the paper's grids (minutes) instead of quick ones (seconds);");
     println!("              prints trials-completed progress + ETA to stderr when it is a TTY");
-    println!("  --quick     bench smoke mode: tiny iteration counts (schema checks only)");
     println!("  --trials N  override the trial count");
     println!("  --out DIR   also write CSV series to DIR");
     println!("  --json      also write JSON artifacts to DIR (needs --out)");

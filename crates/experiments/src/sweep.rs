@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn single_trials_reproduce_sweep_cells() {
-        // `run_trial` (what the benches use) and `Sweep::run_fold` (what
+        // `run_trial` (single-trial callers) and `Sweep::run_fold` (what
         // the figures use) must draw from the same deterministic stream.
         let config = MacConfig::paper(Sawtooth, 64);
         let mut cells = collect(&Sweep::<MacSim> {

@@ -11,7 +11,7 @@
 //!   trial reduced to a [`TrialSummary`] (a backend may tally it directly).
 //! * [`run_trial`] — one trial with the canonical
 //!   `(experiment tag, algorithm, n, trial)` RNG derivation. Every trial in
-//!   the repository — sweeps, figures, benches — goes through this
+//!   the repository — sweeps, figures, tests — goes through this
 //!   derivation, so any number anywhere is reproducible in isolation.
 //! * [`Sweep`] — the Cartesian `(algorithm × n × trial)` grid, executed on
 //!   the tapered deterministic runner under an [`ExecPolicy`] through its
@@ -163,7 +163,7 @@ macro_rules! raw_trial_value {
 /// Runs a single trial with the canonical RNG derivation.
 ///
 /// This is the one place where `(experiment, algorithm, n, trial)` turns
-/// into a generator; figures, sweeps and benches all share it.
+/// into a generator; figures, sweeps and tests all share it.
 pub fn run_trial<S: Simulator>(
     experiment: &str,
     config: &S::Config,
@@ -1342,7 +1342,7 @@ mod tests {
     #[test]
     fn run_trial_matches_the_sweep_stream() {
         // The single-trial entry point must hit the same RNG stream the
-        // sweep derives, so bench trials and sweep trials are interchangeable.
+        // sweep derives, so lone trials and sweep trials are interchangeable.
         let cells = raw(&toy_sweep(ExecPolicy::threads(1)));
         let config = ToyConfig {
             algorithm: AlgorithmKind::Beb,

@@ -264,7 +264,7 @@ impl DynamicConfig {
 
     /// Panics unless the config is runnable (the old `DynamicSim::new`
     /// asserts, factored out so sweeps validate once, not once per trial).
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.success_cost >= 1 && self.collision_cost >= 1);
         assert!(
             self.truncation.cw_min <= self.truncation.cw_max,
@@ -682,7 +682,7 @@ impl BucketQueue {
 /// Lazy arrival stream: yields `(wall slot, packet count)` batches in
 /// nondecreasing wall order until the horizon, drawing from its own RNG so
 /// the arrival sequence is independent of event-loop draw interleaving.
-struct ArrivalGen {
+pub(crate) struct ArrivalGen {
     process: ArrivalProcess,
     horizon: f64,
     rng: SmallRng,
@@ -691,7 +691,7 @@ struct ArrivalGen {
 }
 
 impl ArrivalGen {
-    fn new(process: ArrivalProcess, horizon_slots: u64, rng: SmallRng) -> ArrivalGen {
+    pub(crate) fn new(process: ArrivalProcess, horizon_slots: u64, rng: SmallRng) -> ArrivalGen {
         ArrivalGen {
             process,
             horizon: horizon_slots as f64,
@@ -701,7 +701,7 @@ impl ArrivalGen {
         }
     }
 
-    fn next(&mut self) -> Option<(u64, u32)> {
+    pub(crate) fn next(&mut self) -> Option<(u64, u32)> {
         if self.done {
             return None;
         }

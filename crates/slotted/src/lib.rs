@@ -30,9 +30,13 @@
 //! defined as `cw_slots × slot` — the total time the abstract model *thinks*
 //! an execution takes, which is exactly the quantity the paper shows to be
 //! misleading.
+//!
+//! [`mod@reference`] holds plain versions of the windowed and dynamic
+//! models that the fast engines are tested and timed against.
 
 pub mod dynamic;
 pub mod noisy;
+pub mod reference;
 pub mod residual;
 pub mod windowed;
 

@@ -5,6 +5,7 @@
 //! these fail, the repository no longer reproduces the paper.
 
 use contention_resolution::prelude::*;
+use contention_slotted::dynamic::{ArrivalProcess, DynamicConfig, DynamicSim};
 use contention_stats::summary::median;
 
 fn mac_median(
@@ -14,12 +15,19 @@ fn mac_median(
     trials: u32,
     f: &dyn Fn(&MacRun) -> f64,
 ) -> f64 {
-    let config = MacConfig::paper(kind, payload);
+    tagged_median("acceptance", &MacConfig::paper(kind, payload), n, trials, f)
+}
+
+/// Median of `f` over `trials` MAC runs of `config` under RNG tag `tag`.
+fn tagged_median(
+    tag: &str,
+    config: &MacConfig,
+    n: u32,
+    trials: u32,
+    f: &dyn Fn(&MacRun) -> f64,
+) -> f64 {
     let xs: Vec<f64> = (0..trials)
-        .map(|t| {
-            let mut rng = trial_rng(experiment_tag("acceptance"), kind, n, t);
-            f(&simulate(&config, n, &mut rng))
-        })
+        .map(|t| f(&run_trial::<MacSim>(tag, config, n, t)))
         .collect();
     median(&xs)
 }
@@ -172,4 +180,131 @@ fn decomposition_lower_bound() {
             );
         }
     }
+}
+
+// The checks below are the shape checks the retired criterion benches ran
+// (only under `cargo bench`) that no other test covered, kept with their
+// configurations, RNG tags, trial counts and thresholds.
+
+/// Figure 4: with 1024 B payloads STB still needs fewer CW slots than BEB.
+#[test]
+fn fig4_cw_slot_ordering_at_1024_bytes() {
+    let cw = |kind| {
+        tagged_median("fig4-bench", &MacConfig::paper(kind, 1024), 100, 7, &|r| {
+            r.metrics.cw_slots as f64
+        })
+    };
+    let (beb, stb) = (cw(AlgorithmKind::Beb), cw(AlgorithmKind::Sawtooth));
+    assert!(stb < beb, "BEB {beb:.0}, STB {stb:.0}");
+}
+
+/// Figure 6: BEB's last n/2 packets take the bulk of its CW slots.
+#[test]
+fn fig6_stragglers_dominate_beb_cw_slots() {
+    let run = run_trial::<MacSim>(
+        "fig6-bench",
+        &MacConfig::paper(AlgorithmKind::Beb, 64),
+        100,
+        0,
+    );
+    let (half, full) = (
+        run.metrics.half_cw_slots as f64,
+        run.metrics.cw_slots as f64,
+    );
+    assert!(half < full / 2.0, "half {half:.0} vs full {full:.0}");
+}
+
+/// Figure 9: BEB leads on the first n/2 packets too, so stragglers are not
+/// the explanation for the total-time reversal.
+#[test]
+fn fig9_beb_leads_on_the_first_half() {
+    let ht = |kind| {
+        tagged_median("fig9-bench", &MacConfig::paper(kind, 64), 100, 9, &|r| {
+            r.metrics.half_time.as_micros_f64()
+        })
+    };
+    let (beb, stb) = (ht(AlgorithmKind::Beb), ht(AlgorithmKind::Sawtooth));
+    assert!(beb < stb, "BEB {beb:.0}µs vs STB {stb:.0}µs");
+}
+
+/// EIFS ablation for LB: disabling EIFS makes collisions cheaper for
+/// bystanders, so total time drops.
+#[test]
+fn eifs_ablation_direction_for_log_backoff() {
+    let mut no_eifs = MacConfig::paper(AlgorithmKind::LogBackoff, 64);
+    no_eifs.use_eifs = false;
+    let with_eifs = MacConfig::paper(AlgorithmKind::LogBackoff, 64);
+    let tt = |config| {
+        tagged_median("eifs-bench", config, 100, 7, &|r| {
+            r.metrics.total_time.as_micros_f64()
+        })
+    };
+    let (t_no, t_yes) = (tt(&no_eifs), tt(&with_eifs));
+    assert!(t_no < t_yes, "no-EIFS {t_no:.0}µs < EIFS {t_yes:.0}µs");
+}
+
+/// §VIII at bursts of 50 every 1 250 slots: 802.11g costs widen LB's
+/// latency deficit to BEB.
+#[test]
+fn dynamic_collision_cost_amplification() {
+    let arrivals = ArrivalProcess::PoissonBursts {
+        rate: 0.0008,
+        size: 50,
+    };
+    let lat = |kind: AlgorithmKind, mac: bool| {
+        let config = if mac {
+            DynamicConfig::mac_costs(kind, arrivals, 64)
+        } else {
+            DynamicConfig::abstract_model(kind, arrivals)
+        };
+        let xs: Vec<f64> = (0..5)
+            .map(|t| {
+                let mut rng = trial_rng(experiment_tag("dyn-bench"), kind, 0, t);
+                DynamicSim::new(config).run(&mut rng).mean_latency()
+            })
+            .collect();
+        median(&xs)
+    };
+    let gap_a2 = lat(AlgorithmKind::LogBackoff, false) / lat(AlgorithmKind::Beb, false);
+    let gap_mac = lat(AlgorithmKind::LogBackoff, true) / lat(AlgorithmKind::Beb, true);
+    assert!(
+        gap_mac > gap_a2 && gap_mac > 1.0,
+        "LB/BEB latency ratio: {gap_a2:.2} under A2, {gap_mac:.2} under 802.11g costs"
+    );
+}
+
+/// A MAC trial on a reused scratch arena equals the same trial on a fresh
+/// one, per-station table included.
+#[test]
+fn mac_arena_trial_equals_fresh_trial() {
+    let config = MacConfig::paper(AlgorithmKind::Beb, 64);
+    let mut scratch = Default::default();
+    for trial in 0..3 {
+        run_trial_with::<MacSim>("bench-hot-mac", &config, 100, trial, &mut scratch);
+    }
+    let arena = run_trial_with::<MacSim>("bench-hot-mac", &config, 100, 3, &mut scratch);
+    let fresh = run_trial::<MacSim>("bench-hot-mac", &config, 100, 3);
+    assert_eq!(fresh.metrics, arena.metrics);
+}
+
+/// A lone `run_trial` and the same trial inside a sweep are the same run,
+/// per-station table included.
+#[test]
+fn lone_mac_trials_match_sweep_trials_bit_for_bit() {
+    let config = MacConfig::paper(AlgorithmKind::LogBackoff, 64);
+    let mut cells = Sweep::<MacSim> {
+        experiment: "bench-vs-sweep",
+        config,
+        algorithms: vec![AlgorithmKind::LogBackoff],
+        ns: vec![15],
+        trials: 3,
+        exec: ExecPolicy::threads(2),
+    }
+    .run_fold(
+        |_, _, trials| Slots::<MacRun>::new(trials),
+        &SweepHooks::none(),
+    );
+    let lone = run_trial::<MacSim>("bench-vs-sweep", &config, 15, 2);
+    let sweep_trials = cells.remove(0).acc.into_vec();
+    assert_eq!(sweep_trials[2].metrics, lone.metrics);
 }

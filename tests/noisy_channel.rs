@@ -90,7 +90,7 @@ fn degenerate_noisy_sweep_matches_windowed_sweep_bit_for_bit() {
     }
 }
 
-/// `run_trial` — the single-trial entry point benches use — agrees too.
+/// `run_trial` — the single-trial entry point — agrees too.
 #[test]
 fn degenerate_single_trials_match() {
     let lone_noisy = run_trial::<NoisySim>(
